@@ -81,22 +81,20 @@ BENCHMARK(BM_EnumerateCandidates);
 
 /**
  * End-to-end candidate throughput over the whole Table 5 catalog.
- * Arg 0: engine — 0 brute force, 1 incremental without the arena
- * (the PR-5 baseline), 2 incremental with arena-backed relations
- * (the default engine).  CI gates 1-vs-0 and 2-vs-1 from
- * BENCH_enumerate.json.
+ * Arg 0: engine — 0 brute force, 1 rf-first (the default) with no
+ * saturation support, i.e. the full model-free candidate stream.
+ * CI gates 1-vs-0 from BENCH_enumerate.json.
  */
 void
 BM_EnumerateCatalog(benchmark::State &state)
 {
-    EnumerateOptions opts;
-    opts.prune = state.range(0) != 0;
-    opts.arena = state.range(0) == 2;
+    const EngineMode mode =
+        state.range(0) == 0 ? EngineMode::Brute : EngineMode::RfFirst;
     std::vector<CatalogEntry> entries = table5();
     std::size_t candidates = 0;
     for (auto _ : state) {
         for (const CatalogEntry &entry : entries) {
-            Enumerator en(entry.prog, opts);
+            Enumerator en(entry.prog, RunBudget::unlimited(), mode);
             en.forEach([](const CandidateExecution &) { return true; });
             candidates += en.stats().candidates;
         }
@@ -107,7 +105,6 @@ BM_EnumerateCatalog(benchmark::State &state)
 BENCHMARK(BM_EnumerateCatalog)
     ->Arg(0)
     ->Arg(1)
-    ->Arg(2)
     ->Unit(benchmark::kMillisecond);
 
 /**
@@ -140,19 +137,17 @@ threadBucket(int threads)
 /**
  * End-to-end verification (enumeration plus model checking, full
  * verdict) under the lkmm model, as a thread-count scaling curve.
- * Arg 0: engine — 0 brute force, 1 incremental (the default),
- * 2 rf-first.  Arg 1: thread-count bucket (2/3/4/5).  This is
- * deliberately runTest and not bare enumeration: rf-first's win is
- * the model checks it never issues for saturation-rejected rf
- * assignments, so an enumeration-only benchmark would hide it.  CI
- * gates rf-first >= 2x incremental on the combined 4+-thread bucket
- * from BENCH_enumerate.json.
+ * Arg 0: engine — 0 brute force, 1 rf-first (the default).  Arg 1:
+ * thread-count bucket (2/3/4/5).  This is deliberately runTest and
+ * not bare enumeration: rf-first's win is the model checks it never
+ * issues for saturation-rejected rf assignments, so an
+ * enumeration-only benchmark would hide it.  CI gates rf-first >= 4x
+ * brute on the combined 4+-thread bucket from BENCH_enumerate.json.
  */
 void
 BM_VerifyScale(benchmark::State &state)
 {
-    static const char *const modes[] = {"brute", "incremental",
-                                        "rf-first"};
+    static const char *const modes[] = {"brute", "rf-first"};
     EngineConfig cfg;
     cfg.setMode(modes[state.range(0)]);
     const std::vector<Program> &progs =
@@ -170,7 +165,7 @@ BM_VerifyScale(benchmark::State &state)
     state.SetItemsProcessed(static_cast<std::int64_t>(candidates));
 }
 BENCHMARK(BM_VerifyScale)
-    ->ArgsProduct({{0, 1, 2}, {2, 3, 4, 5}})
+    ->ArgsProduct({{0, 1}, {2, 3, 4, 5}})
     ->Unit(benchmark::kMillisecond);
 
 void

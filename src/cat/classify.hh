@@ -4,7 +4,7 @@
  * engine: which of its saturation axioms does this model provably
  * enforce?
  *
- * The engine (exec/rf_engine.hh) may assume an axiom only when the
+ * The engine (exec/enumerate.hh) may assume an axiom only when the
  * model rejects every execution violating it, so the analysis is a
  * one-sided superset check and unconditionally conservative:
  *

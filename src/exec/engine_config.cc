@@ -11,36 +11,20 @@ namespace lkmm
 std::string
 EngineConfig::modeName() const
 {
-    if (enumerate.rfFirst)
-        return "rf-first";
-    if (!enumerate.prune)
-        return "brute";
-    return enumerate.arena ? "incremental" : "incremental-noarena";
+    return enumerate == EngineMode::Brute ? "brute" : "rf-first";
 }
 
 void
 EngineConfig::setMode(const std::string &name)
 {
-    enumerate.rfFirst = false;
-    if (name == "brute") {
-        enumerate.prune = false;
-        enumerate.arena = false;
-    } else if (name == "incremental") {
-        enumerate.prune = true;
-        enumerate.arena = true;
-    } else if (name == "incremental-noarena") {
-        enumerate.prune = true;
-        enumerate.arena = false;
-    } else if (name == "rf-first") {
-        enumerate.prune = true;
-        enumerate.arena = true;
-        enumerate.rfFirst = true;
+    if (name == "rf-first") {
+        enumerate = EngineMode::RfFirst;
+    } else if (name == "brute") {
+        enumerate = EngineMode::Brute;
     } else {
-        throw StatusError(Status(
-            StatusCode::InvalidArgument,
-            "unknown engine mode '" + name +
-                "' (expected brute, incremental, "
-                "incremental-noarena or rf-first)"));
+        throw StatusError(Status(StatusCode::InvalidArgument,
+                                 "unknown engine mode '" + name +
+                                     "' (expected rf-first or brute)"));
     }
 }
 
@@ -126,11 +110,8 @@ EngineConfig::flagHelp()
 {
     return "engine (shared by lkmm-sweep/fuzz/serve/chaos; "
            "0 = unlimited):\n"
-           "  --engine MODE       brute | incremental |\n"
-           "                      incremental-noarena | rf-first\n"
-           "                      (default: incremental; rf-first\n"
-           "                      saturates co from the model's\n"
-           "                      axioms instead of enumerating it)\n"
+           "  --engine MODE       rf-first | brute (default: rf-first;\n"
+           "                      brute is the brute-force oracle)\n"
            "  --engine-time-limit-ms N   per-run wall-clock budget\n"
            "  --engine-max-candidates N  candidate cap per run\n"
            "  --engine-max-rf N          rf-assignment cap per run\n"

@@ -4,10 +4,10 @@
  *
  * Four CLIs (lkmm-sweep, lkmm-fuzz, lkmm-serve, lkmm-chaos) drive
  * the same enumeration core, and before this header each grew its
- * own copy of the knobs: a RunBudget here, an EnumerateOptions
+ * own copy of the knobs: a RunBudget here, an engine switch
  * there, hand-rolled flag parsing everywhere.  EngineConfig owns
- * both halves — engine selection (EnumerateOptions) and resource
- * bounds (RunBudget) — plus the two things every consumer was
+ * both halves — engine selection (EngineMode) and resource bounds
+ * (RunBudget) — plus the two things every consumer was
  * reimplementing:
  *
  *  - a canonical JSON form (toJson/fromJson/canonicalKey).  The
@@ -20,16 +20,13 @@
  *  - one flag vocabulary (parseFlag/flagHelp).  All four CLIs
  *    accept the same --engine-family flags:
  *
- *        --engine MODE             brute | incremental |
- *                                  incremental-noarena | rf-first
+ *        --engine MODE             rf-first (default) | brute
  *        --engine-time-limit-ms N  per-run wall-clock budget
  *        --engine-max-candidates N
  *        --engine-max-rf N
  *        --engine-max-eval-steps N
  *
- *    CLI-specific aliases (lkmm-sweep's historic --no-prune,
- *    --time-limit-ms, ...) remain as thin wrappers over the same
- *    EngineConfig fields.
+ *    There are no per-CLI aliases of these flags.
  */
 
 #ifndef LKMM_EXEC_ENGINE_CONFIG_HH
@@ -48,14 +45,12 @@ namespace lkmm
 /** Engine selection plus resource bounds for one verification run. */
 struct EngineConfig
 {
-    /** Which engine: prune (incremental vs brute) and arena. */
-    EnumerateOptions enumerate;
+    /** Which engine: the production rf-first one or the oracle. */
+    EngineMode enumerate = EngineMode::RfFirst;
     /** Resource bounds applied to each run. */
     RunBudget budget;
 
-    /**
-     * "brute", "incremental", "incremental-noarena" or "rf-first".
-     */
+    /** "rf-first" or "brute". */
     std::string modeName() const;
 
     /**

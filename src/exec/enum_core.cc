@@ -346,7 +346,7 @@ buildStaticRelations(const Layout &lay, CandidateExecution &ex)
     ex.events = lay.events;
 
     // Abstract-execution storage comes from the execution's arena
-    // when one is attached (the incremental engines' path).
+    // when one is attached (the production engine's path).
     auto mk = [&ex, n] {
         return ex.arena() ? Relation(*ex.arena(), n) : Relation(n);
     };

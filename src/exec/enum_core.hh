@@ -2,11 +2,11 @@
  * @file
  * The engine-neutral core of candidate enumeration.
  *
- * Both enumeration engines — the rf×co Enumerator (enumerate.hh)
- * and the rf-first engine (rf_engine.hh) — walk the same front half
- * of the search: lay out a path combo as events, restrict each
- * read's rf sources, solve the value equations, and build the
- * abstract-execution relations.  This header is that shared half,
+ * Both enumeration engines (EngineMode in enumerate.hh) — the
+ * production rf-first engine and the brute-force oracle — walk the
+ * same front half of the search: lay out a path combo as events,
+ * restrict each read's rf sources, solve the value equations, and
+ * build the abstract-execution relations.  This header is that shared half,
  * extracted so the engines cannot drift apart on it: a divergence
  * in rf-candidate pruning or valuation would silently break the
  * cross-engine identity the conformance and engine-identity suites
@@ -63,11 +63,10 @@ struct Valuation
 };
 
 /**
- * Scratch vectors of the valuation walks.  The arena engines reuse
- * one instance across every rf assignment (assign() keeps the
- * capacity, so the steady state allocates nothing); the heap
- * engines construct a fresh one per call, as the walks once did
- * inline.
+ * Scratch vectors of the valuation walks.  The production engine
+ * reuses one instance across every rf assignment (assign() keeps
+ * the capacity, so the steady state allocates nothing); the brute
+ * oracle constructs a fresh one per call.
  */
 struct ValuateScratch
 {

@@ -4,9 +4,9 @@
  *
  * This is the herd core: for every combination of per-thread
  * control-flow paths, every reads-from assignment and every
- * per-location coherence order, build the candidate execution,
- * solve the value equations, and hand consistent candidates to the
- * caller.  Model axioms are *not* applied here; models filter the
+ * coherence order the model could accept, build the candidate
+ * execution, solve the value equations, and hand consistent
+ * candidates to the caller.  Model axioms are *not* applied here; models filter the
  * stream (see src/model/model.hh), exactly as herd separates
  * candidate generation from cat-model checking.
  */
@@ -20,52 +20,57 @@
 #include "base/budget.hh"
 #include "exec/execution.hh"
 #include "litmus/program.hh"
+#include "relation/saturation.hh"
 
 namespace lkmm
 {
 
 /**
- * Knobs of the enumeration engine.
- *
- * `prune` selects between the two engines, which deliver the same
- * candidate stream (same candidates, same order within each rf
- * assignment's co block) — the conformance suite in
- * tests/lkmm/conformance_test.cc enforces the equivalence:
- *
- *  - prune=true (default): the incremental engine.  Po-derived
- *    static relations (po, addr/data/ctrl deps, fence and
- *    annotation sets, RCU critical sections) are computed once per
- *    path combo and copied into each candidate; rf-derived
- *    relations once per rf assignment; only the co-derived
- *    relations are computed per candidate.  Partial rf prefixes
- *    that are provably value-infeasible are cut without
- *    materializing their subtrees.
- *  - prune=false: the brute-force reference engine — every
- *    complete rf assignment is materialized and handed to the full
- *    valuation, and every candidate rebuilds its relations from
- *    scratch.  Kept as the oracle for the conformance suite and
- *    the bench baseline.
- *
- * `arena` (incremental engine only) backs the staged finalize with
- * the enumerator's RelationArena and reuses preallocated co
- * scratch, so steady-state per-candidate work allocates nothing;
- * off, the same engine allocates from the heap per stage — the
- * PR-5 behaviour, kept as the bench baseline for the arena win.
- * The candidate stream is identical either way.
- *
- * `rfFirst` is consumed by the runner (src/lkmm/runner.cc), not by
- * Enumerator itself: it selects the reads-from-first engine
- * (rf_engine.hh), which enumerates rf assignments only and derives
- * coherence orders by saturation, falling back to bounded co
- * enumeration for the pairs saturation leaves open.  It lives here
- * so EngineConfig and every CLI carry one options struct for all
- * three engines.
+ * The two enumeration engines.  Both deliver every candidate a
+ * model could accept; the engine-identity and conformance suites
+ * (tests/exec/engine_identity_test.cc,
+ * tests/lkmm/conformance_test.cc) hold them to identical verdicts
+ * and allowed-execution sets under every registry model.
  */
-struct EnumerateOptions
+enum class EngineMode
 {
-    bool prune = true;
-    bool arena = true;
-    bool rfFirst = false;
+    /**
+     * The brute-force oracle: every complete rf assignment goes to
+     * the full valuation, every co permutation of every consistent
+     * one is built, and every candidate derives its relations from
+     * scratch on the heap (CandidateExecution::finalize).  Beside
+     * enum_core it shares the production engine's rf product walk,
+     * its per-rf valuation accounting (budget hook and rf counters)
+     * and the grouping of writes by location; the prefix cuts, the
+     * staged arena derivation, saturation and the co orders are the
+     * production engine's alone.
+     */
+    Brute,
+    /**
+     * The production engine (default), reads-from first after Tunc
+     * et al. (PAPERS.md).  Po-derived relations are computed once
+     * per path combo and rf-derived ones once per rf assignment, all
+     * in the enumerator's arena; only the co stage runs per
+     * candidate.  Infeasible rf prefixes are cut without expanding
+     * their subtrees.  Coherence is then decided per rf:
+     *
+     *  - no location with two or more non-init writes: co is forced
+     *    (init before each write) and the single order is delivered;
+     *  - otherwise, when the model declares saturation support
+     *    (Model::saturationSupport()), the forced part of co is
+     *    saturated (relation/saturation.hh): a contradiction retires
+     *    the rf with no candidate built, and only the linear
+     *    extensions of the forced order are delivered — produced
+     *    one at a time, so each is charged to the budget before it
+     *    is built;
+     *  - with no declared support every co permutation is delivered,
+     *    so a caller that passes no SaturationSupport gets the full
+     *    rf x co stream, in the brute engine's order within each rf.
+     *
+     * Every skipped candidate is one the model rejects, so raw
+     * candidate counts are engine-specific but verdicts are not.
+     */
+    RfFirst,
 };
 
 /** Enumerates candidate executions of one program. */
@@ -85,7 +90,7 @@ class Enumerator
      * + rfPruned(pruned) — every pruned assignment is one the full
      * valuation would have rejected.  The pruning counters
      * (rfPruned, coPruned, partialValuationRejects) are always zero
-     * when EnumerateOptions::prune is false.
+     * in EngineMode::Brute.
      */
     struct Stats
     {
@@ -111,9 +116,11 @@ class Enumerator
         std::size_t partialValuationRejects = 0;
         std::size_t candidates = 0;
 
-        // Saturation counters (rf-first engine only; always zero in
-        // the rf×co engines).  rfConsistent = rfSatRejects +
-        // delivered-rf count; coFallbacks counts the delivered rfs
+        // Saturation counters: zero in EngineMode::Brute and for
+        // every rf the production engine does not saturate (no
+        // declared support, or no location with two or more
+        // non-init writes).  rfConsistent = rfSatRejects +
+        // delivered-rf count; coFallbacks counts the saturated rfs
         // whose forced order was not total somewhere, i.e. the ones
         // that needed bounded co enumeration.
 
@@ -137,16 +144,17 @@ class Enumerator
         std::size_t coFallbacks = 0;
     };
 
-    explicit Enumerator(const Program &prog) : prog_(prog) {}
-
-    /** Enumerate under a budget: the run stops at the first bound. */
-    Enumerator(const Program &prog, const RunBudget &budget,
-               const EnumerateOptions &opts = {})
-        : prog_(prog), budget_(budget), opts_(opts)
-    {}
-
-    Enumerator(const Program &prog, const EnumerateOptions &opts)
-        : prog_(prog), opts_(opts)
+    /**
+     * Enumerate under a budget (the run stops at the first bound)
+     * with the given engine.  `support` is the model's saturation
+     * promise (Model::saturationSupport()); only EngineMode::RfFirst
+     * uses it, and the default promises nothing.
+     */
+    explicit Enumerator(const Program &prog,
+                        const RunBudget &budget = RunBudget::unlimited(),
+                        EngineMode mode = EngineMode::RfFirst,
+                        rel::SaturationSupport support = {})
+        : prog_(prog), budget_(budget), mode_(mode), support_(support)
     {}
 
     /**
@@ -175,15 +183,16 @@ class Enumerator
   private:
     const Program &prog_;
     RunBudget budget_;
-    EnumerateOptions opts_;
+    EngineMode mode_;
+    rel::SaturationSupport support_;
     Stats stats_;
     Completeness completeness_ = Completeness::Complete;
     BoundKind tripped_ = BoundKind::None;
     /**
-     * Word storage for the incremental engine's derived relations
-     * (opts_.arena): fully reset at each path-combo boundary — the
-     * static-stage lifetime — while the rf- and co-stage relations
-     * reuse their allocations in place across reruns (see
+     * Word storage for the production engine's derived relations:
+     * fully reset at each path-combo boundary — the static-stage
+     * lifetime — while the rf- and co-stage relations reuse their
+     * allocations in place across reruns (see
      * CandidateExecution::ensureRel).  One arena per enumerator;
      * parallel sweeps hold one enumerator per worker.
      */

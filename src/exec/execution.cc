@@ -117,8 +117,8 @@ CandidateExecution::finalizeStatic()
 
     if (!arena_.ptr) {
         // Allocating path: the value-returning algebra, one heap
-        // matrix per intermediate.  Kept verbatim as the engine's
-        // pre-arena behaviour (and the bench baseline).
+        // matrix per intermediate.  This is the brute oracle's own
+        // derivation, independent of the kernel path below.
         rmb_ = fenceRel(Ann::Rmb).restrictDomain(reads_)
             .restrictRange(reads_);
         wmb_ = fenceRel(Ann::Wmb).restrictDomain(writes_)

@@ -57,7 +57,7 @@ class CandidateExecution
     void finalize();
 
     // Arena backing -------------------------------------------------
-    // The incremental enumerator attaches its RelationArena before
+    // The production enumerator attaches its RelationArena before
     // the staged finalize; the stages then carve their derived
     // relations from it (reusing the same storage in place when a
     // stage reruns at the same universe size) instead of touching
@@ -75,7 +75,7 @@ class CandidateExecution
 
     // Staged finalization -------------------------------------------
     // finalize() == finalizeStatic(); finalizeRf(); finalizeCo().
-    // The incremental enumerator uses the stages to share work: the
+    // The production enumerator uses the stages to share work: the
     // static stage depends only on events (kind/ann/tid) and the
     // abstract execution, so it runs once per path combo and is
     // copied into every candidate; the rf stage additionally needs

@@ -1,7 +1,5 @@
 #include "lkmm/runner.hh"
 
-#include "exec/rf_engine.hh"
-
 namespace lkmm
 {
 
@@ -9,19 +7,21 @@ namespace
 {
 
 /**
- * The one enumerate-and-filter loop, generic over the engine.
- * `fast` restricts the work to what a bare verdict needs: only
- * candidates whose condition value could be decisive are checked
- * against the model, and enumeration stops at the first decisive
- * one (witness for exists, counterexample for forall).  An early
- * stop leaves the engine's completeness at Complete — the evidence
- * found is conclusive, the unexplored remainder cannot change it.
+ * The one enumerate-and-filter loop.  The enumerator is handed the
+ * model's saturation promises, since the production engine may only
+ * skip candidates this very model rejects.  `fast` restricts the
+ * work to what a bare verdict needs: only candidates whose
+ * condition value could be decisive are checked against the model,
+ * and enumeration stops at the first decisive one (witness for
+ * exists, counterexample for forall).  An early stop leaves the
+ * engine's completeness at Complete — the evidence found is
+ * conclusive, the unexplored remainder cannot change it.
  */
-template <typename Engine>
 RunResult
-filterLoop(Engine &en, const Program &prog, const Model &model,
-           bool fast)
+runCore(const Program &prog, const Model &model, const RunBudget &budget,
+        bool fast, EngineMode mode)
 {
+    Enumerator en(prog, budget, mode, model.saturationSupport());
     RunResult res;
     const bool exists = prog.quantifier == Quantifier::Exists;
     bool counterexample = false;
@@ -86,39 +86,20 @@ filterLoop(Engine &en, const Program &prog, const Model &model,
     return res;
 }
 
-/**
- * Dispatch on the engine choice.  The rf-first engine must only
- * skip candidates this very model rejects, so it is handed the
- * model's saturation promises; the rf×co engines are
- * model-independent.
- */
-RunResult
-runCore(const Program &prog, const Model &model, const RunBudget &budget,
-        bool fast, const EnumerateOptions &opts)
-{
-    if (opts.rfFirst) {
-        RfFirstEngine en(prog, budget, opts,
-                         model.saturationSupport());
-        return filterLoop(en, prog, model, fast);
-    }
-    Enumerator en(prog, budget, opts);
-    return filterLoop(en, prog, model, fast);
-}
-
 } // namespace
 
 RunResult
 runTest(const Program &prog, const Model &model, const RunBudget &budget,
-        const EnumerateOptions &opts)
+        EngineMode mode)
 {
-    return runCore(prog, model, budget, /*fast=*/false, opts);
+    return runCore(prog, model, budget, /*fast=*/false, mode);
 }
 
 Verdict
 quickVerdict(const Program &prog, const Model &model,
-             const RunBudget &budget, const EnumerateOptions &opts)
+             const RunBudget &budget, EngineMode mode)
 {
-    return runCore(prog, model, budget, /*fast=*/true, opts).verdict;
+    return runCore(prog, model, budget, /*fast=*/true, mode).verdict;
 }
 
 } // namespace lkmm

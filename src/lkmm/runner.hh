@@ -103,7 +103,7 @@ struct RunResult
  */
 RunResult runTest(const Program &prog, const Model &model,
                   const RunBudget &budget = RunBudget::unlimited(),
-                  const EnumerateOptions &opts = {});
+                  EngineMode mode = EngineMode::RfFirst);
 
 /**
  * Fast verdict: stops at the first decisive candidate — the first
@@ -116,7 +116,7 @@ RunResult runTest(const Program &prog, const Model &model,
  */
 Verdict quickVerdict(const Program &prog, const Model &model,
                      const RunBudget &budget = RunBudget::unlimited(),
-                     const EnumerateOptions &opts = {});
+                     EngineMode mode = EngineMode::RfFirst);
 
 } // namespace lkmm
 

@@ -64,7 +64,7 @@ class Model
 
     /**
      * Which communication axioms the rf-first engine may assume
-     * when saturating coherence orders (rf_engine.hh).  Each set
+     * when saturating coherence orders (exec/enumerate.hh).  Each set
      * flag is a soundness promise: check() rejects every execution
      * violating that axiom, under every configuration of the model.
      * The conservative default — no promises — keeps the engine

@@ -126,9 +126,14 @@ UrcuDomain::reclaimerLoop()
         // One grace period covers the whole batch: every callback
         // was queued before it started.
         synchronize();
-        for (auto &cb : batch) {
+        for (auto &cb : batch)
             cb();
-            cbDone_.fetch_add(1, std::memory_order_release);
+        {
+            // Publish under the lock rcuBarrier checks its predicate
+            // under, so the notify cannot fall between its check and
+            // its wait (a lost wakeup).
+            std::lock_guard<std::mutex> guard(cbLock_);
+            cbDone_.fetch_add(batch.size(), std::memory_order_release);
         }
         cbCv_.notify_all();
     }

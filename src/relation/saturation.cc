@@ -89,18 +89,24 @@ saturateForcedCo(Relation &forcedCo, const Relation &poLoc,
 
     const bool broken = saturation_testing::brokenRule();
 
-    // writeLoc[w] = location index, for the atomicity pass.
-    std::vector<std::size_t> write_loc(n, static_cast<std::size_t>(-1));
-    for (std::size_t l = 0; l < writesByLoc.size(); ++l) {
-        write_loc[initWrites[l]] = l;
-        for (EventId w : writesByLoc[l])
-            write_loc[w] = l;
-    }
-
+    // The atomicity pass only has work when there are rmw pairs;
+    // its lookup tables are built only then.
+    const bool atomicity = support.atomicity && !rmw.empty();
+    // writeLoc[w] = location index.
+    std::vector<std::size_t> write_loc;
     // rfSrc[r] = the write r reads from (every read has one).
-    std::vector<EventId> rf_src(n, static_cast<EventId>(n));
-    for (const auto &[w, r] : rf.pairs())
-        rf_src[r] = w;
+    std::vector<EventId> rf_src;
+    if (atomicity) {
+        write_loc.assign(n, static_cast<std::size_t>(-1));
+        for (std::size_t l = 0; l < writesByLoc.size(); ++l) {
+            write_loc[initWrites[l]] = l;
+            for (EventId w : writesByLoc[l])
+                write_loc[w] = l;
+        }
+        rf_src.assign(n, static_cast<EventId>(n));
+        for (const auto &[w, r] : rf.pairs())
+            rf_src[r] = w;
+    }
 
     bool changed = true;
     while (changed) {
@@ -163,7 +169,7 @@ saturateForcedCo(Relation &forcedCo, const Relation &poLoc,
         // Atomicity forcing: for an rmw pair (r, w) reading from
         // w0, the axiom forbids fre(r, w') ; coe(w', w), i.e.
         // co(w0, w') together with co(w', w) for an external w'.
-        if (support.atomicity) {
+        if (atomicity) {
             for (const auto &[r, w] : rmw.pairs()) {
                 const EventId w0 = rf_src[r];
                 if (w0 >= n || write_loc[w] >= writesByLoc.size())

@@ -1,7 +1,7 @@
 /**
  * @file
  * Forced-coherence saturation: the fixpoint behind the rf-first
- * engine (src/exec/rf_engine.hh).
+ * engine (EngineMode::RfFirst in src/exec/enumerate.hh).
  *
  * Given one rf assignment, most of the coherence order is not a
  * free choice: the communication axioms every model in this tree

@@ -62,17 +62,11 @@ statusCodeFromName(const std::string &name)
     return StatusCode::Internal;
 }
 
-/**
- * Worker side of one request: parse, run, encode.  Never throws —
- * every failure becomes a structured {"ok":false,...} reply, which
- * the parent turns into an error response.  Only a *crash* (segv,
- * abort, injected kill, watchdog) escapes this function, which is
- * the point: the reply protocol cleanly separates "the request
- * failed" from "the worker died".
- */
+} // namespace
+
 std::string
-runOne(const std::string &frame,
-       std::map<std::string, std::unique_ptr<Model>> &models)
+runWorkerFrame(const std::string &frame,
+               std::map<std::string, std::unique_ptr<Model>> &models)
 {
     json::Object resp;
     try {
@@ -107,7 +101,8 @@ runOne(const std::string &frame,
         // Engine mode travels by name; absent (an older parent)
         // means the default engine.
         EngineConfig engine;
-        engine.setMode(req.getString("engine", "incremental"));
+        if (const json::Value *mode = req.get("engine"))
+            engine.setMode(mode->asString());
 
         const RunResult run =
             runTest(prog, *model, budget, engine.enumerate);
@@ -121,6 +116,9 @@ runOne(const std::string &frame,
     }
     return json::Value(std::move(resp)).serialize();
 }
+
+namespace
+{
 
 /**
  * The persistent worker main loop.  EOF on the channel is the
@@ -157,7 +155,7 @@ workerMain(int fd)
         }
         if (!frame)
             ::_exit(0);
-        const std::string reply = runOne(*frame, models);
+        const std::string reply = runWorkerFrame(*frame, models);
         try {
             // serve-worker-result is the worker-side fault site: an
             // injected crash/hang here dies exactly like a hostile

@@ -56,6 +56,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -90,6 +91,19 @@ inline constexpr std::uint32_t kWorkerMaxFrameBytes = 8u << 20;
 json::Value resultValue(const std::string &testName,
                         const std::string &modelSpec,
                         const RunResult &r);
+
+/**
+ * Worker side of one "run" frame: parse, run, encode the reply.
+ * Never throws — every failure becomes a structured
+ * {"ok":false,...} reply, which the parent turns into an error
+ * response.  Only a *crash* (segv, abort, injected kill, watchdog)
+ * escapes this function, which is the point: the reply protocol
+ * cleanly separates "the request failed" from "the worker died".
+ * `models` caches one Model per spec across calls.
+ */
+std::string
+runWorkerFrame(const std::string &frame,
+               std::map<std::string, std::unique_ptr<Model>> &models);
 
 struct WorkerOptions
 {
@@ -148,7 +162,7 @@ struct WorkerRequest
      */
     RunBudget budget;
     /** Engine selection, carried as the mode name on the wire. */
-    EnumerateOptions enumerate;
+    EngineMode enumerate = EngineConfig{}.enumerate;
     bool hasDeadline = false;
     std::chrono::steady_clock::time_point deadlineAt{};
 };

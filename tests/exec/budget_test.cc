@@ -16,6 +16,7 @@
 #include "cat/eval.hh"
 #include "diy/generator.hh"
 #include "exec/enumerate.hh"
+#include "litmus/parser.hh"
 #include "lkmm/catalog.hh"
 #include "lkmm/runner.hh"
 #include "model/lkmm_model.hh"
@@ -197,6 +198,82 @@ TEST(BudgetedRunner, QuickVerdictDegrades)
     EXPECT_EQ(quickVerdict(p, model, b), Verdict::Unknown);
     EXPECT_EQ(quickVerdict(p, model), Verdict::Forbid);
     EXPECT_EQ(quickVerdict(sb(), model), Verdict::Allow);
+}
+
+// Many writes to one location ----------------------------------------
+
+/**
+ * Twelve single-write threads on x and no reads: nothing forces any
+ * coherence order, so the rf assignment has 12! candidates.  The
+ * exists clause is never satisfied, so no early witness ends the
+ * run either — only the budget can.
+ */
+Program
+twelveWriters()
+{
+    std::string src = "C W12\n{ x; }\n";
+    for (int t = 0; t < 12; ++t) {
+        src += "P" + std::to_string(t) + "(int *x)\n{\n    WRITE_ONCE(*x, " +
+               std::to_string(t + 1) + ");\n}\n";
+    }
+    src += "exists (x=13)\n";
+    return parseLitmus(src);
+}
+
+/** lkmm's axioms with no saturation promise: every co is enumerated. */
+class LkmmNoSupport : public Model
+{
+  public:
+    std::string name() const override { return "lkmm-no-support"; }
+    std::optional<Violation>
+    check(const CandidateExecution &ex) const override
+    {
+        return lkmm_.check(ex);
+    }
+
+  private:
+    LkmmModel lkmm_;
+};
+
+TEST(BudgetedRunner, ManyWritersStopAtTheCandidateCap)
+{
+    const Program prog = twelveWriters();
+    const LkmmModel lkmm;
+    const LkmmNoSupport plain;
+    for (const Model *model : {static_cast<const Model *>(&lkmm),
+                               static_cast<const Model *>(&plain)}) {
+        SCOPED_TRACE(model->name());
+        RunBudget b;
+        b.maxCandidates = 10;
+        const auto start = std::chrono::steady_clock::now();
+        const RunResult r = runTest(prog, *model, b);
+        EXPECT_LT(std::chrono::steady_clock::now() - start, 2s);
+        EXPECT_EQ(r.completeness, Completeness::Truncated);
+        EXPECT_EQ(r.trippedBound, BoundKind::Candidates);
+        EXPECT_EQ(r.candidates, 10u);
+        EXPECT_EQ(r.verdict, Verdict::Unknown);
+        // Every undelivered order of the one rf is counted as cut.
+        EXPECT_EQ(r.stats.coPruned, 479001600u - 10u);
+    }
+}
+
+TEST(BudgetedRunner, ManyWritersStopAtTheDeadline)
+{
+    const Program prog = twelveWriters();
+    const LkmmModel lkmm;
+    const LkmmNoSupport plain;
+    for (const Model *model : {static_cast<const Model *>(&lkmm),
+                               static_cast<const Model *>(&plain)}) {
+        SCOPED_TRACE(model->name());
+        RunBudget b;
+        b.wallClock = 50ms;
+        const auto start = std::chrono::steady_clock::now();
+        const RunResult r = runTest(prog, *model, b);
+        EXPECT_LT(std::chrono::steady_clock::now() - start, 5s);
+        EXPECT_EQ(r.completeness, Completeness::Truncated);
+        EXPECT_EQ(r.trippedBound, BoundKind::WallClock);
+        EXPECT_EQ(r.verdict, Verdict::Unknown);
+    }
 }
 
 // Cat evaluator step budget ------------------------------------------

@@ -1,11 +1,12 @@
 /**
  * @file
- * Cross-engine differential harness: the three enumeration engines
- * (brute, incremental, rf-first) must be observationally identical.
+ * Cross-engine differential harness: the production engine
+ * (rf-first) must be observationally identical to the brute-force
+ * oracle.
  *
  * For every corpus entry (paper catalog, litmus tree, edge corpus,
- * 4-/5-thread scaling corpus) and every registry model, the engines
- * must agree on
+ * 4-/5-thread scaling corpus) and every registry model, the two
+ * engines must agree on
  *
  *  - the RunResult: verdict, allowedCandidates, witnesses,
  *    allowedFinalStates, completeness (raw candidate counts are
@@ -31,8 +32,7 @@
 
 #include <gtest/gtest.h>
 
-#include "exec/engine_config.hh"
-#include "exec/rf_engine.hh"
+#include "exec/enumerate.hh"
 #include "litmus/parser.hh"
 #include "lkmm/catalog.hh"
 #include "lkmm/runner.hh"
@@ -76,16 +76,6 @@ catalogEntries()
     return out;
 }
 
-const char *const kEngines[] = {"brute", "incremental", "rf-first"};
-
-EnumerateOptions
-engineOpts(const std::string &mode)
-{
-    EngineConfig cfg;
-    cfg.setMode(mode);
-    return cfg.enumerate;
-}
-
 /**
  * One enumeration pass: the sorted (rf, co, final) fingerprints of
  * the candidates each model allows, for every registry model at
@@ -94,14 +84,13 @@ engineOpts(const std::string &mode)
  * brute engine, so per-model re-enumeration would multiply that
  * by 8.
  *
- * rf-first passes each model's own saturationSupport(), exactly as
- * the runner does; the other engines ignore it.
+ * rf-first is passed each model's own saturationSupport(), exactly
+ * as the runner does; brute ignores it.
  */
 std::vector<std::vector<std::string>>
 allowedFingerprints(const Program &prog,
                     const std::vector<const Model *> &models,
-                    const EnumerateOptions &opts,
-                    rel::SaturationSupport support)
+                    EngineMode mode, rel::SaturationSupport support)
 {
     std::vector<std::vector<std::string>> prints(models.size());
     const auto on = [&](const CandidateExecution &ex) {
@@ -118,13 +107,8 @@ allowedFingerprints(const Program &prog,
         }
         return true;
     };
-    if (opts.rfFirst) {
-        RfFirstEngine en(prog, RunBudget::unlimited(), opts, support);
-        en.forEach(on);
-    } else {
-        Enumerator en(prog, RunBudget::unlimited(), opts);
-        en.forEach(on);
-    }
+    Enumerator en(prog, RunBudget::unlimited(), mode, support);
+    en.forEach(on);
     for (std::vector<std::string> &p : prints)
         std::sort(p.begin(), p.end());
     return prints;
@@ -172,50 +156,40 @@ checkCorpus(const std::vector<Entry> &entries)
     for (const Entry &entry : entries) {
         SCOPED_TRACE(entry.name);
 
-        // Allowed-execution identity.  brute and incremental ignore
-        // saturation support, so one multi-model pass each suffices;
-        // rf-first's candidate stream depends on the model's support,
-        // so it gets one pass per model, exactly as the runner would
-        // drive it.
+        // Allowed-execution identity, production vs brute.  brute
+        // ignores saturation support, so one multi-model pass
+        // suffices; rf-first's candidate stream depends on the
+        // model's support, so it gets one pass per model, exactly as
+        // the runner would drive it.
         const auto refPrints = allowedFingerprints(
-            entry.prog, models, engineOpts("brute"), {});
-        const auto incPrints = allowedFingerprints(
-            entry.prog, models, engineOpts("incremental"), {});
+            entry.prog, models, EngineMode::Brute, {});
         for (std::size_t m = 0; m < models.size(); ++m) {
-            expectSameAllowedSet(entry.name, modelNames[m], "brute",
-                                 refPrints[m], "incremental",
-                                 incPrints[m]);
             const auto rfPrints = allowedFingerprints(
-                entry.prog, {models[m]}, engineOpts("rf-first"),
+                entry.prog, {models[m]}, EngineMode::RfFirst,
                 models[m]->saturationSupport());
             expectSameAllowedSet(entry.name, modelNames[m], "brute",
                                  refPrints[m], "rf-first",
                                  rfPrints[0]);
         }
 
-        // RunResult identity through the full runner, every model
-        // and engine.
+        // RunResult identity through the full runner, every model.
         for (std::size_t m = 0; m < models.size(); ++m) {
             SCOPED_TRACE(modelNames[m]);
             const RunResult ref =
                 runTest(entry.prog, *models[m], RunBudget::unlimited(),
-                        engineOpts("brute"));
+                        EngineMode::Brute);
             EXPECT_EQ(refPrints[m].size(), ref.allowedCandidates);
-            for (const char *mode : {"incremental", "rf-first"}) {
-                SCOPED_TRACE(mode);
-                const RunResult res =
-                    runTest(entry.prog, *models[m],
-                            RunBudget::unlimited(), engineOpts(mode));
-                EXPECT_EQ(res.verdict, ref.verdict)
-                    << "verdict diverges for test '" << entry.name
-                    << "' under model " << modelNames[m] << " ("
-                    << mode << " vs brute)";
-                EXPECT_EQ(res.allowedCandidates, ref.allowedCandidates);
-                EXPECT_EQ(res.witnesses, ref.witnesses);
-                EXPECT_EQ(res.allowedFinalStates,
-                          ref.allowedFinalStates);
-                EXPECT_EQ(res.completeness, ref.completeness);
-            }
+            const RunResult res =
+                runTest(entry.prog, *models[m], RunBudget::unlimited(),
+                        EngineMode::RfFirst);
+            EXPECT_EQ(res.verdict, ref.verdict)
+                << "verdict diverges for test '" << entry.name
+                << "' under model " << modelNames[m]
+                << " (rf-first vs brute)";
+            EXPECT_EQ(res.allowedCandidates, ref.allowedCandidates);
+            EXPECT_EQ(res.witnesses, ref.witnesses);
+            EXPECT_EQ(res.allowedFinalStates, ref.allowedFinalStates);
+            EXPECT_EQ(res.completeness, ref.completeness);
         }
     }
 }
@@ -235,6 +209,51 @@ TEST(EngineIdentity, EdgeCorpus)
 TEST(EngineIdentity, ScaleCorpus)
 {
     checkCorpus(dirEntries(LKMM_SCALE_DIR, "scale/"));
+}
+
+/** Run `name` from the scale corpus under native lkmm. */
+RunResult
+scaleRun(const std::string &name, EngineMode mode)
+{
+    const Program prog = parseLitmusFile(std::string(LKMM_SCALE_DIR) +
+                                         "/" + name + ".litmus");
+    const std::unique_ptr<Model> model =
+        ModelRegistry::instance().make("lkmm");
+    return runTest(prog, *model, RunBudget::unlimited(), mode);
+}
+
+/**
+ * The saturation bypass: with at most one non-init write per
+ * location, co is forced, so the production engine neither
+ * saturates nor falls back — and still matches brute.
+ */
+TEST(EngineIdentity, SingleWriteLocationsBypassSaturation)
+{
+    for (const char *name : {"SB4", "LB4"}) {
+        SCOPED_TRACE(name);
+        const RunResult rf = scaleRun(name, EngineMode::RfFirst);
+        const RunResult brute = scaleRun(name, EngineMode::Brute);
+        EXPECT_EQ(rf.stats.rfSatRejects, 0u);
+        EXPECT_EQ(rf.stats.coSatForced, 0u);
+        EXPECT_EQ(rf.stats.coFallbacks, 0u);
+        EXPECT_EQ(rf.verdict, brute.verdict);
+        EXPECT_EQ(rf.candidates, brute.candidates);
+        EXPECT_EQ(rf.allowedFinalStates, brute.allowedFinalStates);
+    }
+}
+
+/** A location with several writes still goes through saturation. */
+TEST(EngineIdentity, MultiWriteLocationsStillSaturate)
+{
+    const RunResult rf = scaleRun("COWW5-chain", EngineMode::RfFirst);
+    const RunResult brute = scaleRun("COWW5-chain", EngineMode::Brute);
+    EXPECT_GT(rf.stats.coSatForced, 0u);
+    EXPECT_LT(rf.candidates, brute.candidates);
+    // Exactly the linear extensions of the forced orders: an order
+    // that breaks a forced edge would be one more candidate.
+    EXPECT_EQ(rf.candidates, 432u);
+    EXPECT_EQ(rf.verdict, brute.verdict);
+    EXPECT_EQ(rf.allowedFinalStates, brute.allowedFinalStates);
 }
 
 } // namespace

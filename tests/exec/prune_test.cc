@@ -1,6 +1,6 @@
 /**
  * @file
- * Accounting tests for the incremental pruning counters.
+ * Accounting tests for the production engine's pruning counters.
  *
  * The Stats identities documented on Enumerator::Stats are checked
  * for every paper-catalog program, in both engines:
@@ -8,13 +8,13 @@
  *   rfSpace      = rfPruned + rfAssignments
  *   rfAssignments = valuationRejects + rfConsistent
  *
- * and across engines — pruning only skips work, it never changes
- * what is delivered:
+ * and across engines — with no saturation support, pruning only
+ * skips work, it never changes what is delivered:
  *
- *   valuationRejects(brute) = valuationRejects(pruned) + rfPruned
+ *   valuationRejects(brute) = valuationRejects(rf-first) + rfPruned
  *   rfSpace, rfConsistent, candidates, pathCombos identical
  *
- * With prune=false every pruning counter must be exactly zero.
+ * In EngineMode::Brute every pruning counter must be exactly zero.
  */
 
 #include <gtest/gtest.h>
@@ -30,11 +30,9 @@ namespace
 {
 
 Enumerator::Stats
-enumerate(const Program &prog, bool prune)
+enumerate(const Program &prog, EngineMode mode)
 {
-    EnumerateOptions opts;
-    opts.prune = prune;
-    Enumerator en(prog, opts);
+    Enumerator en(prog, RunBudget::unlimited(), mode);
     en.forEach([](const CandidateExecution &) { return true; });
     return en.stats();
 }
@@ -43,9 +41,9 @@ TEST(PruneAccounting, IdentitiesHoldPerCatalogTest)
 {
     for (const CatalogEntry &entry : table5()) {
         SCOPED_TRACE(entry.prog.name);
-        for (bool prune : {true, false}) {
-            SCOPED_TRACE(prune ? "pruned" : "brute");
-            const Enumerator::Stats s = enumerate(entry.prog, prune);
+        for (EngineMode mode : {EngineMode::RfFirst, EngineMode::Brute}) {
+            SCOPED_TRACE(mode == EngineMode::Brute ? "brute" : "rf-first");
+            const Enumerator::Stats s = enumerate(entry.prog, mode);
             EXPECT_EQ(s.rfSpace, s.rfPruned + s.rfAssignments);
             EXPECT_EQ(s.rfAssignments,
                       s.valuationRejects + s.rfConsistent);
@@ -57,7 +55,7 @@ TEST(PruneAccounting, CountersZeroWhenPruningDisabled)
 {
     for (const CatalogEntry &entry : table5()) {
         SCOPED_TRACE(entry.prog.name);
-        const Enumerator::Stats s = enumerate(entry.prog, false);
+        const Enumerator::Stats s = enumerate(entry.prog, EngineMode::Brute);
         EXPECT_EQ(s.rfPruned, 0u);
         EXPECT_EQ(s.coPruned, 0u);
         EXPECT_EQ(s.partialValuationRejects, 0u);
@@ -70,8 +68,10 @@ TEST(PruneAccounting, PruningOnlySkipsRejectedWork)
 {
     for (const CatalogEntry &entry : table5()) {
         SCOPED_TRACE(entry.prog.name);
-        const Enumerator::Stats on = enumerate(entry.prog, true);
-        const Enumerator::Stats off = enumerate(entry.prog, false);
+        const Enumerator::Stats on =
+            enumerate(entry.prog, EngineMode::RfFirst);
+        const Enumerator::Stats off =
+            enumerate(entry.prog, EngineMode::Brute);
         EXPECT_EQ(on.pathCombos, off.pathCombos);
         EXPECT_EQ(on.rfSpace, off.rfSpace);
         EXPECT_EQ(on.rfConsistent, off.rfConsistent);
@@ -86,19 +86,22 @@ TEST(PruneAccounting, PruningOnlySkipsRejectedWork)
 TEST(PruneAccounting, CountersFlowThroughRunResult)
 {
     LkmmModel model;
-    EnumerateOptions brute;
-    brute.prune = false;
     for (const CatalogEntry &entry : table5()) {
         SCOPED_TRACE(entry.prog.name);
         const RunResult on = runTest(entry.prog, model);
         const RunResult off = runTest(entry.prog, model,
-                                      RunBudget::unlimited(), brute);
+                                      RunBudget::unlimited(),
+                                      EngineMode::Brute);
         EXPECT_EQ(on.verdict, off.verdict);
         EXPECT_EQ(on.stats.rfPruned + on.stats.rfAssignments,
                   on.stats.rfSpace);
         EXPECT_EQ(off.stats.rfPruned, 0u);
         EXPECT_EQ(off.stats.partialValuationRejects, 0u);
-        EXPECT_EQ(on.stats.candidates, off.stats.candidates);
+        EXPECT_EQ(on.stats.rfSpace, off.stats.rfSpace);
+        EXPECT_EQ(on.stats.rfConsistent, off.stats.rfConsistent);
+        EXPECT_EQ(on.candidates, on.stats.candidates);
+        // Saturation only ever removes candidates the model rejects.
+        EXPECT_LE(on.stats.candidates, off.stats.candidates);
     }
 }
 
@@ -108,7 +111,7 @@ TEST(PruneAccounting, PruningActuallyFiresSomewhere)
     // them: at least one program must hit the partial-valuation cut.
     std::size_t total_pruned = 0;
     for (const CatalogEntry &entry : table5())
-        total_pruned += enumerate(entry.prog, true).rfPruned;
+        total_pruned += enumerate(entry.prog, EngineMode::RfFirst).rfPruned;
     EXPECT_GT(total_pruned, 0u);
 }
 

@@ -154,7 +154,7 @@ TEST(RelationProperty, CompositionLaws)
 
 // Naive pair-set reference implementations ---------------------------
 //
-// The incremental enumerator prunes subtrees based on what the
+// The production enumerator prunes subtrees based on what the
 // closure/acyclicity primitives report, so those primitives are
 // checked here against the most boring possible implementation: an
 // explicit set of pairs, closed by repeated joining.

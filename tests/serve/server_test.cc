@@ -52,8 +52,8 @@ const char *kSb = "C SB\n\n{ x=0; y=0; }\n\n"
                   "exists (0:r0=0 /\\ 1:r1=0)\n";
 
 /**
- * A deliberately huge candidate space: four writers to x, eight
- * reads of x, so the rf/co enumeration runs for many seconds.  Only
+ * A deliberately huge candidate space: five writers to x, ten
+ * reads of x, so even the rf-first engine runs for many seconds.  Only
  * ever issued with a deadline — its job is to pin a worker for a
  * known minimum time so queue-full and deadline sheds become
  * deterministic, not to finish.
@@ -73,6 +73,10 @@ const char *kHuge = "C HUGE\n\n{ x=0; }\n\n"
                     "  int r1 = READ_ONCE(*x);\n}\n\n"
                     "P3(int *x) {\n"
                     "  WRITE_ONCE(*x, 4);\n"
+                    "  int r0 = READ_ONCE(*x);\n"
+                    "  int r1 = READ_ONCE(*x);\n}\n\n"
+                    "P4(int *x) {\n"
+                    "  WRITE_ONCE(*x, 5);\n"
                     "  int r0 = READ_ONCE(*x);\n"
                     "  int r1 = READ_ONCE(*x);\n}\n\n"
                     "exists (0:r0=4 /\\ 1:r0=1 /\\ 2:r0=2 /\\ 3:r0=3)\n";

@@ -27,7 +27,10 @@
 
 #include <cerrno>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
+#include <map>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -39,6 +42,7 @@
 #include "base/faultinject.hh"
 #include "serve/protocol.hh"
 #include "serve/server.hh"
+#include "serve/worker.hh"
 
 #if defined(__SANITIZE_THREAD__)
 #define LKMM_TSAN 1
@@ -455,6 +459,65 @@ TEST(WorkerHealth, PingReportsWorkerTierState)
     EXPECT_EQ(pong2.getString("isolation"), "inproc");
     EXPECT_EQ(pong2.get("workers"), nullptr);
     legacy.stop();
+}
+
+/**
+ * Two writes to x seen by two reads: coherence forces most of co
+ * and rules out some rf pairs, so the engines deliver different
+ * candidate counts for it.
+ */
+const char *kCoRR = "C CORR\n\n{ x=0; }\n\n"
+                    "P0(int *x) {\n"
+                    "  WRITE_ONCE(*x, 1);\n"
+                    "  WRITE_ONCE(*x, 2);\n}\n\n"
+                    "P1(int *x) {\n"
+                    "  int r0 = READ_ONCE(*x);\n"
+                    "  int r1 = READ_ONCE(*x);\n}\n\n"
+                    "exists (1:r0=2 /\\ 1:r1=1)\n";
+
+/** Run one worker frame for kCoRR under lkmm in this process. */
+json::Value
+runFrame(const char *engine)
+{
+    json::Object o;
+    o["op"] = "run";
+    o["name"] = "CORR";
+    o["litmus"] = kCoRR;
+    o["model"] = "lkmm";
+    for (const char *key : {"budget_wall_ns", "budget_candidates",
+                            "budget_rf", "budget_eval"})
+        o[key] = static_cast<std::int64_t>(0);
+    if (engine != nullptr)
+        o["engine"] = engine;
+    std::map<std::string, std::unique_ptr<Model>> models;
+    return json::Value::parse(
+        runWorkerFrame(json::Value(std::move(o)).serialize(), models));
+}
+
+TEST(WorkerFrame, MissingEngineKeyRunsTheDefaultEngine)
+{
+    const json::Value absent = runFrame(nullptr);
+    ASSERT_TRUE(absent.getBool("ok", false)) << absent.serialize();
+    const std::string defaultMode = EngineConfig{}.modeName();
+    const json::Value dflt = runFrame(defaultMode.c_str());
+    ASSERT_TRUE(dflt.getBool("ok", false)) << dflt.serialize();
+    EXPECT_EQ(absent.get("result")->serialize(),
+              dflt.get("result")->serialize());
+
+    // The frame really exercises the engine choice: the oracle
+    // delivers more raw candidates for the same verdict.
+    const json::Value brute = runFrame("brute");
+    ASSERT_TRUE(brute.getBool("ok", false)) << brute.serialize();
+    EXPECT_EQ(absent.get("result")->getString("verdict"),
+              brute.get("result")->getString("verdict"));
+    EXPECT_LT(absent.get("result")->getInt("candidates"),
+              brute.get("result")->getInt("candidates"));
+
+    // A retired mode name is refused, never silently remapped.
+    const json::Value retired = runFrame("incremental");
+    EXPECT_FALSE(retired.getBool("ok", true));
+    EXPECT_EQ(retired.getString("code"),
+              statusCodeName(StatusCode::InvalidArgument));
 }
 
 } // namespace

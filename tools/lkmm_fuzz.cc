@@ -100,8 +100,7 @@ usage()
         "                      journal stay in iteration order\n"
         "  --task-deadline-ms N  per-side watchdog deadline\n"
         "                      (default 10000)\n"
-        "  --max-candidates N  per-side candidate cap\n"
-        "                      (default 200000)\n"
+        "  (--engine-max-candidates defaults to 200000 per side)\n"
         "\n"
         "output:\n"
         "  --summary FORMAT    text (default) or json\n"
@@ -188,9 +187,6 @@ main(int argc, char **argv)
             } else if (arg == "--task-deadline-ms")
                 opts.oracle.limits.deadline =
                     std::chrono::milliseconds(std::stoll(next()));
-            else if (arg == "--max-candidates")
-                opts.oracle.engine.budget.maxCandidates =
-                    std::stoull(next());
             else if (opts.oracle.engine.parseFlag(arg, next))
                 ; // shared --engine-family flag
             else if (arg == "--replay")
@@ -203,9 +199,9 @@ main(int argc, char **argv)
                 return usage();
             else
                 return usage();
-        } catch (const std::exception &) {
-            std::fprintf(stderr, "lkmm-fuzz: bad value for %s\n",
-                         arg.c_str());
+        } catch (const std::exception &e) {
+            std::fprintf(stderr, "lkmm-fuzz: bad value for %s: %s\n",
+                         arg.c_str(), e.what());
             return 1;
         }
     }

@@ -107,7 +107,6 @@ usage()
         "                         sound Unknown (default 64, 0 = off)\n"
         "  --deadline-ms N        default per-request deadline\n"
         "  --max-deadline-ms N    cap on client-requested deadlines\n"
-        "  --time-limit-ms N      per-request wall-clock budget\n"
         "  --max-frame-bytes N    reject larger frames (default 1MiB)\n"
         "  --cache FILE           verdict-cache journal (omit for a\n"
         "                         memory-only cache)\n"
@@ -529,10 +528,6 @@ main(int argc, char **argv)
             opt.serve.maxDeadline = std::chrono::milliseconds(
                 std::strtol(needValue(i, "--max-deadline-ms"),
                             nullptr, 10));
-        else if (arg == "--time-limit-ms")
-            opt.serve.engine.budget.wallClock =
-                std::chrono::milliseconds(std::strtol(
-                    needValue(i, "--time-limit-ms"), nullptr, 10));
         else if (arg == "--max-frame-bytes")
             opt.serve.maxFrameBytes = static_cast<std::uint32_t>(
                 std::strtoul(needValue(i, "--max-frame-bytes"),

@@ -113,10 +113,8 @@ usage()
         "                      journal\n"
         "  --resume            skip tests already in --journal\n"
         "\n"
-        "budgets (0 = unlimited):\n"
-        "  --time-limit-ms N   per-test wall-clock budget\n"
-        "  --max-candidates N  per-test candidate cap\n"
-        "  --max-rf N          per-test rf-assignment cap\n"
+        "budgets (0 = unlimited; per-test caps are the --engine-*\n"
+        "flags below):\n"
         "  --retries N         escalating-budget retries\n"
         "  --escalation F      budget scale per retry (default 8)\n"
         "  --sweep-time-limit-ms N  whole-sweep wall-clock budget,\n"
@@ -139,12 +137,6 @@ usage()
         "                      (rfPruned, coPruned,\n"
         "                      partialValuationRejects); the json\n"
         "                      summary always carries them\n"
-        "\n"
-        "enumeration:\n"
-        "  --no-prune          brute-force engine: disable the\n"
-        "                      incremental pruning (same results;\n"
-        "                      reference/baseline mode; alias for\n"
-        "                      --engine brute)\n"
         "\n%s",
         lkmm::EngineConfig::flagHelp());
     return 1;
@@ -260,13 +252,6 @@ main(int argc, char **argv)
                 opts.journalPath = next();
             else if (arg == "--resume")
                 opts.resume = true;
-            else if (arg == "--time-limit-ms")
-                opts.engine.budget.wallClock =
-                    std::chrono::milliseconds(std::stoll(next()));
-            else if (arg == "--max-candidates")
-                opts.engine.budget.maxCandidates = std::stoull(next());
-            else if (arg == "--max-rf")
-                opts.engine.budget.maxRfAssignments = std::stoull(next());
             else if (arg == "--retries")
                 opts.retry.budgetRetries = std::stoi(next());
             else if (arg == "--escalation")
@@ -279,8 +264,6 @@ main(int argc, char **argv)
                 quiet = true;
             else if (arg == "--stats")
                 showStats = true;
-            else if (arg == "--no-prune")
-                opts.engine.setMode("brute");
             else if (opts.engine.parseFlag(arg, next))
                 ; // shared --engine-family flag
             else if (arg == "--help" || arg == "-h")
@@ -289,9 +272,9 @@ main(int argc, char **argv)
                 return usage();
             else
                 inputs.push_back(arg);
-        } catch (const std::exception &) {
-            std::fprintf(stderr, "lkmm-sweep: bad value for %s\n",
-                         arg.c_str());
+        } catch (const std::exception &e) {
+            std::fprintf(stderr, "lkmm-sweep: bad value for %s: %s\n",
+                         arg.c_str(), e.what());
             return 1;
         }
     }
