@@ -7,8 +7,10 @@
  * paper table.
  */
 
+#include <chrono>
 #include <filesystem>
 #include <map>
+#include <optional>
 
 #include <benchmark/benchmark.h>
 
@@ -183,6 +185,82 @@ BM_LkmmCheck(benchmark::State &state)
         static_cast<std::int64_t>(state.iterations() * execs.size()));
 }
 BENCHMARK(BM_LkmmCheck);
+
+/**
+ * The value-semantics LKMM check: buildRelations() plus
+ * Relation::findCycle and the value helpers, axioms in the paper's
+ * order.  What LkmmModel::check() computed before it moved to the
+ * kernels; the baseline of BM_LkmmCheckScale.
+ */
+std::optional<Violation>
+referenceLkmmCheck(const LkmmModel &model, const CandidateExecution &ex)
+{
+    const LkmmRelations r = model.buildRelations(ex);
+    if (auto c = (ex.poLoc() | ex.com()).findCycle())
+        return Violation{"sc-per-variable", *c};
+    const Relation at = ex.rmw & ex.fre().seq(ex.coe());
+    if (!at.empty()) {
+        const auto first = at.pairs().front();
+        return Violation{"atomicity", {first.first, first.second}};
+    }
+    if (auto c = r.hb.findCycle())
+        return Violation{"happens-before", *c};
+    if (auto c = r.pb.findCycle())
+        return Violation{"propagates-before", *c};
+    if (model.config().rcuAxiom) {
+        for (EventId e = 0; e < ex.numEvents(); ++e) {
+            if (r.rcuPath.contains(e, e))
+                return Violation{"rcu", {e}};
+        }
+    }
+    return std::nullopt;
+}
+
+/**
+ * Per-candidate LKMM check cost on the 4-/5-thread scale corpus, in
+ * the order the rf-first engine delivers the candidates (so the
+ * native check's rf-stage memo sees what it sees under runTest).
+ * Arg 0: 0 the value-semantics reference above, 1 the native
+ * LkmmModel::check().  Only the check is timed (manual time); the
+ * enumeration around it is not.  CI gates 1-vs-0 from
+ * BENCH_enumerate.json.
+ */
+void
+BM_LkmmCheckScale(benchmark::State &state)
+{
+    const bool native = state.range(0) == 1;
+    std::vector<Program> progs = threadBucket(4);
+    for (const Program &p : threadBucket(5))
+        progs.push_back(p);
+    const LkmmModel model;
+    std::size_t checks = 0, allowed = 0;
+    for (auto _ : state) {
+        std::chrono::steady_clock::duration spent{};
+        for (const Program &p : progs) {
+            Enumerator en(p, RunBudget::unlimited(), EngineMode::RfFirst,
+                          model.saturationSupport());
+            en.forEach([&](const CandidateExecution &ex) {
+                const auto t0 = std::chrono::steady_clock::now();
+                const bool ok = native
+                    ? !model.check(ex).has_value()
+                    : !referenceLkmmCheck(model, ex).has_value();
+                spent += std::chrono::steady_clock::now() - t0;
+                allowed += ok;
+                ++checks;
+                return true;
+            });
+        }
+        state.SetIterationTime(
+            std::chrono::duration<double>(spent).count());
+    }
+    benchmark::DoNotOptimize(allowed);
+    state.SetItemsProcessed(static_cast<std::int64_t>(checks));
+}
+BENCHMARK(BM_LkmmCheckScale)
+    ->Arg(0)
+    ->Arg(1)
+    ->UseManualTime()
+    ->Unit(benchmark::kMillisecond);
 
 void
 BM_CatLkmmCheck(benchmark::State &state)

@@ -4,7 +4,8 @@
  * union, compose, closure and acyclic at n = 16/64/256, each in the
  * classic allocating form (value-returning operators, a fresh heap
  * matrix per call) and the destination-passing form (kernels writing
- * into a reused arena destination).  CI records the run as
+ * into a reused arena destination), plus the native LKMM check built
+ * on those kernels (BM_LkmmCheckSteady).  CI records the run as
  * BENCH_relation.json.
  *
  * Beyond the speed ratio, this binary is the zero-allocation proof
@@ -12,7 +13,8 @@
  * heap allocation, and each destination-passing benchmark asserts
  * the steady state performs none — the counter is reported as the
  * "allocs_per_iter" counter in the JSON artifact, and a non-zero
- * value in any *Into benchmark aborts the run.  That is the
+ * value in any *Into or *Levels benchmark or in BM_LkmmCheckSteady
+ * aborts the run.  That is the
  * "zero per-candidate heap allocations" acceptance check in a form
  * CI can gate.
  */
@@ -25,6 +27,9 @@
 #include <benchmark/benchmark.h>
 
 #include "base/rng.hh"
+#include "exec/enumerate.hh"
+#include "litmus/parser.hh"
+#include "model/lkmm_model.hh"
 #include "relation/arena.hh"
 #include "relation/kernels.hh"
 #include "relation/relation.hh"
@@ -265,6 +270,42 @@ BM_AcyclicLevels(benchmark::State &state)
     });
 }
 BENCHMARK(BM_AcyclicLevels)->Arg(16)->Arg(64)->Arg(256);
+
+/**
+ * The native LKMM check in its steady state: every allowed
+ * candidate of one scale test (MPW4-corr: 2160 candidates, many per
+ * rf), checked in delivery order.  LkmmModel::check() must allocate
+ * nothing here — no relation, no witness, no axiom-name string —
+ * so any heap allocation aborts the run.
+ */
+void
+BM_LkmmCheckSteady(benchmark::State &state)
+{
+    const Program prog = parseLitmusFile(std::string(LKMM_SCALE_DIR) +
+                                         "/MPW4-corr.litmus");
+    const LkmmModel model;
+    std::vector<CandidateExecution> allowed;
+    Enumerator en(prog, RunBudget::unlimited(), EngineMode::RfFirst,
+                  model.saturationSupport());
+    en.forEach([&](const CandidateExecution &ex) {
+        if (model.allows(ex))
+            allowed.push_back(ex);
+        return true;
+    });
+    if (allowed.empty()) {
+        state.SkipWithError("no allowed candidates");
+        return;
+    }
+    countedLoop(state, /*requireZero=*/true, [&] {
+        std::size_t ok = 0;
+        for (const CandidateExecution &ex : allowed)
+            ok += !model.check(ex).has_value();
+        benchmark::DoNotOptimize(ok);
+    });
+    state.SetItemsProcessed(static_cast<std::int64_t>(
+        state.iterations() * allowed.size()));
+}
+BENCHMARK(BM_LkmmCheckSteady)->Unit(benchmark::kMicrosecond);
 
 } // namespace
 } // namespace lkmm

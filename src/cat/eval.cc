@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <functional>
 #include <mutex>
+#include <string_view>
 #include <vector>
 
 #include "base/faultinject.hh"
@@ -32,6 +33,13 @@ constexpr int kStageStatic = 0;
 constexpr int kStageRf = 1;
 constexpr int kStageCo = 2;
 constexpr int kNever = 3;
+
+/** The name a check reports: its "as" name, else the check kind. */
+std::string_view
+checkName(const CatStatement &st, std::string_view kind)
+{
+    return st.checkName.empty() ? kind : std::string_view(st.checkName);
+}
 
 int
 builtinStage(const std::string &name)
@@ -212,17 +220,13 @@ class Evaluator
           }
           case CatStatement::Kind::Acyclic:
             return requireAcyclic(relOf(eval(*st.constraint)),
-                                  st.checkName.empty() ? "acyclic"
-                                                       : st.checkName);
+                                  checkName(st, "acyclic"));
           case CatStatement::Kind::Irreflexive:
             return requireIrreflexive(relOf(eval(*st.constraint)),
-                                      st.checkName.empty()
-                                          ? "irreflexive"
-                                          : st.checkName);
+                                      checkName(st, "irreflexive"));
           case CatStatement::Kind::Empty:
             return requireEmpty(relOf(eval(*st.constraint)),
-                                st.checkName.empty() ? "empty"
-                                                     : st.checkName);
+                                checkName(st, "empty"));
         }
         panic("unhandled cat statement");
     }

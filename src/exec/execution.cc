@@ -1,11 +1,21 @@
 #include "exec/execution.hh"
 
+#include <atomic>
+
 #include "base/logging.hh"
 #include "base/strutil.hh"
 #include "relation/kernels.hh"
 
 namespace lkmm
 {
+
+namespace
+{
+
+/** Source of rfStamp() values; 0 is reserved for "never finalized". */
+std::atomic<std::uint64_t> nextRfStamp{1};
+
+} // namespace
 
 std::string
 Event::toString(const std::vector<std::string> &locNames) const
@@ -58,6 +68,7 @@ void
 CandidateExecution::finalizeStatic()
 {
     const std::size_t n = events.size();
+    rfStamp_ = nextRfStamp.fetch_add(1, std::memory_order_relaxed);
 
     reads_ = EventSet(n);
     writes_ = EventSet(n);
@@ -213,6 +224,7 @@ void
 CandidateExecution::finalizeRf()
 {
     const std::size_t n = events.size();
+    rfStamp_ = nextRfStamp.fetch_add(1, std::memory_order_relaxed);
 
     // loc needs the *resolved* event locations, available only after
     // the valuation fixed dynamic addresses.
@@ -350,16 +362,26 @@ CandidateExecution::satisfiesCondition() const
 std::string
 CandidateExecution::finalStateString() const
 {
+    static const std::vector<std::string> noLocs;
+    return finalStateString(program ? program->locNames : noLocs,
+                            finalRegs, finalMem);
+}
+
+std::string
+CandidateExecution::finalStateString(
+    const std::vector<std::string> &locNames,
+    const std::vector<std::vector<Value>> &regs,
+    const std::vector<Value> &mem)
+{
     std::string out;
-    for (std::size_t t = 0; t < finalRegs.size(); ++t) {
-        for (std::size_t r = 0; r < finalRegs[t].size(); ++r) {
+    for (std::size_t t = 0; t < regs.size(); ++t) {
+        for (std::size_t r = 0; r < regs[t].size(); ++r) {
             out += format("%zu:r%zu=%lld; ", t, r,
-                          static_cast<long long>(finalRegs[t][r]));
+                          static_cast<long long>(regs[t][r]));
         }
     }
-    for (std::size_t l = 0; l < finalMem.size(); ++l) {
-        out += program->locNames[l] + "=" +
-            std::to_string(finalMem[l]) + "; ";
+    for (std::size_t l = 0; l < mem.size(); ++l) {
+        out += locNames[l] + "=" + std::to_string(mem[l]) + "; ";
     }
     return out;
 }

@@ -15,6 +15,7 @@
 #ifndef LKMM_EXEC_EXECUTION_HH
 #define LKMM_EXEC_EXECUTION_HH
 
+#include <cstdint>
 #include <map>
 #include <string>
 #include <vector>
@@ -100,6 +101,21 @@ class CandidateExecution
      */
     void finalizeCo();
 
+    /**
+     * Identity of the static- and rf-stage contents.
+     *
+     * finalizeStatic() and finalizeRf() each take a fresh value from
+     * a process-wide counter, so two executions share a stamp only
+     * when one is a copy of the other (copies keep it: their
+     * contents are identical).  Models key per-rf memos on it
+     * (LkmmModel::check).  0 means never finalized.  Mutating an
+     * rf-stage input (rf, the events, the abstract execution)
+     * without re-running finalizeRf() leaves rfi/rfe/loc stale and
+     * was a bug before the stamp existed; with it, such an execution
+     * also keeps a memo key it no longer deserves.
+     */
+    std::uint64_t rfStamp() const { return rfStamp_; }
+
     // Predefined sets ----------------------------------------------
     const EventSet &reads() const { return reads_; }
     const EventSet &writes() const { return writes_; }
@@ -171,6 +187,12 @@ class CandidateExecution
     /** Compact final-state string like "1:r1=1; 1:r2=0;". */
     std::string finalStateString() const;
 
+    /** finalStateString() of a final state, by value. */
+    static std::string
+    finalStateString(const std::vector<std::string> &locNames,
+                     const std::vector<std::vector<Value>> &regs,
+                     const std::vector<Value> &mem);
+
   private:
     /** Non-owning arena handle that never propagates to copies. */
     struct ArenaRef
@@ -210,6 +232,8 @@ class CandidateExecution
                       const EventSet &rng);
 
     ArenaRef arena_;
+
+    std::uint64_t rfStamp_ = 0;
 
     /** Reused intermediates for the arena-path staged finalize. */
     Relation scratchA_, scratchB_;

@@ -1,10 +1,48 @@
 #include "lkmm/runner.hh"
 
+#include <set>
+#include <tuple>
+#include <utility>
+#include <vector>
+
 namespace lkmm
 {
 
 namespace
 {
+
+/** A final state by value: (finalRegs, finalMem). */
+using FinalState =
+    std::pair<std::vector<std::vector<Value>>, std::vector<Value>>;
+
+/**
+ * Orders final states by value, and looks a candidate's up without
+ * copying it out first.
+ */
+struct FinalStateLess
+{
+    using is_transparent = void;
+
+    bool
+    operator()(const FinalState &a, const FinalState &b) const
+    {
+        return a < b;
+    }
+
+    bool
+    operator()(const FinalState &a, const CandidateExecution &b) const
+    {
+        return std::tie(a.first, a.second) <
+            std::tie(b.finalRegs, b.finalMem);
+    }
+
+    bool
+    operator()(const CandidateExecution &a, const FinalState &b) const
+    {
+        return std::tie(a.finalRegs, a.finalMem) <
+            std::tie(b.first, b.second);
+    }
+};
 
 /**
  * The one enumerate-and-filter loop.  The enumerator is handed the
@@ -25,6 +63,8 @@ runCore(const Program &prog, const Model &model, const RunBudget &budget,
     RunResult res;
     const bool exists = prog.quantifier == Quantifier::Exists;
     bool counterexample = false;
+    // Allowed final states by value; rendered once each at the end.
+    std::set<FinalState, FinalStateLess> finalStates;
 
     en.forEach([&](const CandidateExecution &ex) {
         ++res.candidates;
@@ -48,7 +88,8 @@ runCore(const Program &prog, const Model &model, const RunBudget &budget,
         auto violation = model.check(ex);
         if (!violation) {
             ++res.allowedCandidates;
-            res.allowedFinalStates.insert(ex.finalStateString());
+            if (finalStates.find(ex) == finalStates.end())
+                finalStates.emplace(ex.finalRegs, ex.finalMem);
             if (cond) {
                 ++res.witnesses;
                 if (!res.witness)
@@ -62,6 +103,11 @@ runCore(const Program &prog, const Model &model, const RunBudget &budget,
         }
         return true;
     });
+    for (const FinalState &st : finalStates) {
+        res.allowedFinalStates.insert(
+            CandidateExecution::finalStateString(prog.locNames,
+                                                 st.first, st.second));
+    }
     res.completeness = en.completeness();
     res.trippedBound = en.trippedBound();
     res.stats = en.stats();

@@ -12,6 +12,16 @@
  * The constrained relations are defined in Figure 8 (core) and
  * Figure 12 (RCU); buildRelations() below transcribes them
  * one-for-one so the code can be audited against the paper.
+ *
+ * buildRelations() is the reference.  check() computes the same
+ * relations with the destination-passing kernels (relation/
+ * kernels.hh) into reused thread-local scratch: the static and rf
+ * parts once per rfStamp(), the co part per candidate and only up to
+ * the first failing axiom, the RCU fixpoint only when gp is
+ * non-empty, and a witness only for the axiom that fails.  Its
+ * steady state allocates nothing.  tests/model/lkmm_check_test.cc
+ * holds it to buildRelations() axiom by axiom and witness by
+ * witness; DESIGN.md, "The native model check", has the argument.
  */
 
 #ifndef LKMM_MODEL_LKMM_MODEL_HH
@@ -68,6 +78,8 @@ class LkmmModel : public Model
         bool aCumulativity = true;
         /** Include gp in strong-fence (synchronize_rcu as smp_mb). */
         bool gpIsStrongFence = true;
+
+        bool operator==(const Config &) const = default;
     };
 
     LkmmModel() = default;
@@ -89,7 +101,11 @@ class LkmmModel : public Model
         return {/*coherence=*/true, /*atomicity=*/true};
     }
 
-    /** Compute every derived relation (used by tests and src/rcu). */
+    /**
+     * Compute every derived relation with the value-semantics
+     * algebra, one line per definition: the audited reference that
+     * check() is tested against, also used by src/rcu and the tests.
+     */
     LkmmRelations buildRelations(const CandidateExecution &ex) const;
 
     const Config &config() const { return cfg_; }

@@ -1,5 +1,7 @@
 #include "model/model.hh"
 
+#include "relation/kernels.hh"
+
 namespace lkmm
 {
 
@@ -19,19 +21,18 @@ Violation::toString(const CandidateExecution &ex) const
 }
 
 std::optional<Violation>
-requireAcyclic(const Relation &r, const std::string &axiom)
+requireAcyclic(const Relation &r, std::string_view axiom)
 {
-    auto cycle = r.findCycle();
-    if (!cycle)
+    if (rel::acyclicWithLevels(r))
         return std::nullopt;
     Violation v;
     v.axiom = axiom;
-    v.cycle = *cycle;
+    v.cycle = *r.findCycle();
     return v;
 }
 
 std::optional<Violation>
-requireIrreflexive(const Relation &r, const std::string &axiom)
+requireIrreflexive(const Relation &r, std::string_view axiom)
 {
     for (EventId e = 0; e < r.size(); ++e) {
         if (r.contains(e, e)) {
@@ -45,7 +46,7 @@ requireIrreflexive(const Relation &r, const std::string &axiom)
 }
 
 std::optional<Violation>
-requireEmpty(const Relation &r, const std::string &axiom)
+requireEmpty(const Relation &r, std::string_view axiom)
 {
     if (r.empty())
         return std::nullopt;

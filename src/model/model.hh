@@ -17,6 +17,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "exec/execution.hh"
@@ -88,21 +89,24 @@ class Model
  */
 using ModelFactory = std::function<std::unique_ptr<Model>()>;
 
-/**
- * Check an acyclicity axiom, producing a witness on failure.
- *
- * Shared helper for every model implementation.
+/*
+ * Axiom helpers shared by every model implementation and the cat
+ * evaluator.  Each runs the allocation-free test first and builds the
+ * Violation (axiom name, witness) only when the axiom fails, so an
+ * allowed candidate costs no heap traffic here.
  */
-std::optional<Violation>
-requireAcyclic(const Relation &r, const std::string &axiom);
 
-/** Check an irreflexivity axiom. */
+/** Check an acyclicity axiom; the witness is r.findCycle(). */
 std::optional<Violation>
-requireIrreflexive(const Relation &r, const std::string &axiom);
+requireAcyclic(const Relation &r, std::string_view axiom);
 
-/** Check an emptiness axiom. */
+/** Check an irreflexivity axiom; the witness is the least e with (e, e). */
 std::optional<Violation>
-requireEmpty(const Relation &r, const std::string &axiom);
+requireIrreflexive(const Relation &r, std::string_view axiom);
+
+/** Check an emptiness axiom; the witness is the least pair. */
+std::optional<Violation>
+requireEmpty(const Relation &r, std::string_view axiom);
 
 } // namespace lkmm
 
