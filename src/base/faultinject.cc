@@ -3,7 +3,6 @@
 #include <atomic>
 #include <cerrno>
 #include <csignal>
-#include <cstdio>
 #include <cstdlib>
 #include <ctime>
 #include <mutex>
@@ -17,8 +16,6 @@ namespace lkmm::faultinject
 
 namespace
 {
-
-std::atomic<bool> g_armed[kNumPoints];
 
 /**
  * Context filter (empty = match everything).  Guarded by a mutex;
@@ -49,64 +46,18 @@ std::vector<ActivePlan> g_plans;
 /** Passages of any planned site (the planHits() diagnostic). */
 std::uint64_t g_plan_hits = 0;
 
-/** Parse LKMM_FAULT_INJECT/... once, on first use of any point. */
+/** Parse LKMM_FAULT_PLAN/... once, on first use of any site. */
 std::once_flag g_env_once;
-
-/**
- * The LKMM_FAULT_INJECT deprecation shim.  The soft legacy points
- * are registry sites, so "litmus-parse,cat-eval" translates exactly
- * to the plans "litmus-parse:1:error,cat-eval:1:error"; the crash
- * points (crash-segv, crash-abort, hang) have no registry site and
- * different semantics than any FaultKind (SIGSEGV / abort() vs the
- * plan Crash's SIGKILL), so they stay on the legacy arming path.
- * Returns the plans; arms the crash points directly.
- */
-std::vector<FaultPlan>
-shimLegacyEnvSpec(const std::string &spec)
-{
-    std::fprintf(
-        stderr,
-        "lkmm: warning: LKMM_FAULT_INJECT is deprecated and will be "
-        "removed in the next release; use "
-        "LKMM_FAULT_PLAN=site:hit:kind[:tornBytes][,...] instead\n");
-    std::vector<FaultPlan> plans;
-    std::string crashPoints;
-    for (const std::string &piece : split(spec, ',')) {
-        const std::string name = trim(piece);
-        if (name.empty())
-            continue;
-        if (findSite(name)) {
-            FaultPlan p;
-            p.site = name;
-            plans.push_back(p);
-        } else {
-            if (!crashPoints.empty())
-                crashPoints += ',';
-            crashPoints += name; // armFromSpec rejects unknown names
-        }
-    }
-    if (!crashPoints.empty())
-        armFromSpec(crashPoints);
-    return plans;
-}
 
 void
 armFromEnv()
 {
-    std::vector<FaultPlan> plans;
-    const char *spec = std::getenv("LKMM_FAULT_INJECT");
-    if (spec && *spec)
-        plans = shimLegacyEnvSpec(spec);
     const char *filter = std::getenv("LKMM_FAULT_INJECT_FILTER");
     if (filter && *filter)
         setFilter(filter);
     const char *plan = std::getenv("LKMM_FAULT_PLAN");
-    if (plan && *plan) {
-        for (FaultPlan &p : FaultPlan::parseList(plan))
-            plans.push_back(std::move(p));
-    }
-    if (!plans.empty())
-        setPlans(plans);
+    if (plan && *plan)
+        setPlans(FaultPlan::parseList(plan));
 }
 
 bool
@@ -210,56 +161,9 @@ fireCommon(const PlanAction &action, const char *id, const char *what)
 
 } // namespace
 
-const char *
-pointName(Point p)
-{
-    switch (p) {
-      case Point::LitmusParse: return "litmus-parse";
-      case Point::CatParse: return "cat-parse";
-      case Point::CatEval: return "cat-eval";
-      case Point::Enumerate: return "enumerate";
-      case Point::CrashSegv: return "crash-segv";
-      case Point::CrashAbort: return "crash-abort";
-      case Point::Hang: return "hang";
-    }
-    return "unknown";
-}
-
-void
-arm(Point p)
-{
-    g_armed[static_cast<int>(p)].store(true, std::memory_order_relaxed);
-}
-
-void
-armFromSpec(const std::string &spec)
-{
-    for (std::string name : split(spec, ',')) {
-        name = trim(name);
-        if (name.empty())
-            continue;
-        bool known = false;
-        for (int i = 0; i < kNumPoints; ++i) {
-            const Point p = static_cast<Point>(i);
-            if (name == pointName(p)) {
-                arm(p);
-                known = true;
-                break;
-            }
-        }
-        if (!known) {
-            throw StatusError(Status(
-                StatusCode::InvalidArgument,
-                "unknown fault-injection point '" + name + "'"));
-        }
-    }
-}
-
 void
 reset()
 {
-    for (auto &a : g_armed)
-        a.store(false, std::memory_order_relaxed);
     setFilter("");
     {
         std::lock_guard<std::mutex> lock(g_plan_mutex);
@@ -276,49 +180,6 @@ setFilter(const std::string &filter)
     std::lock_guard<std::mutex> lock(g_filter_mutex);
     g_filter = filter;
 }
-
-bool
-armed(Point p)
-{
-    ensureEnvLoaded();
-    return g_armed[static_cast<int>(p)].load(std::memory_order_relaxed);
-}
-
-void
-maybeFail(Point p, const char *what)
-{
-    ensureEnvLoaded();
-    auto &flag = g_armed[static_cast<int>(p)];
-    if (flag.load(std::memory_order_relaxed) && filterMatches(what)) {
-        // One-shot: disarm before failing so a retry can succeed.
-        // For the crash points this only matters to the forked
-        // child's copy of the flag; the parent stays armed, which is
-        // why crash tests always pair arming with a filter.
-        if (flag.exchange(false, std::memory_order_relaxed)) {
-            switch (p) {
-              case Point::CrashSegv:
-                std::raise(SIGSEGV);
-                break;
-              case Point::CrashAbort:
-                std::abort();
-              case Point::Hang:
-                spinForever();
-              default:
-                throw StatusError(Status(
-                    StatusCode::Internal,
-                    std::string("injected fault at ") + pointName(p) +
-                        ": " + (what ? what : "")));
-            }
-            return;
-        }
-    }
-    // The legacy points double as plan-targetable sites.
-    checkSite(pointName(p), what);
-}
-
-/* ------------------------------------------------------------------ */
-/* Fault-site registry and fault plans                                */
-/* ------------------------------------------------------------------ */
 
 const char *
 faultKindName(FaultKind k)
@@ -358,7 +219,8 @@ siteRegistry()
         {site::kLitmusParse, "litmus parser entry", kErr | kMem},
         {site::kCatParse, "cat parser entry", kErr | kMem},
         {site::kCatEval, "cat evaluator entry", kErr | kMem},
-        {site::kEnumerate, "candidate enumerator entry", kErr | kMem},
+        {site::kEnumerate, "candidate enumerator entry",
+         kErr | kMem | kCrash | kHang},
         {site::kBatchItem, "batch runner, start of one test",
          kErr | kMem | kCrash | kHang},
         {site::kBatchParse, "batch runner, lazy litmus parse",

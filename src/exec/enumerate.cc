@@ -295,7 +295,7 @@ countExtensions(const Relation &forced, const std::vector<EventId> &ws)
 void
 Enumerator::forEach(const std::function<bool(const CandidateExecution &)> &fn)
 {
-    faultinject::maybeFail(faultinject::Point::Enumerate,
+    faultinject::checkSite(faultinject::site::kEnumerate,
                            prog_.name.c_str());
 
     completeness_ = Completeness::Complete;

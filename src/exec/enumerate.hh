@@ -158,6 +158,16 @@ class Enumerator
     {}
 
     /**
+     * The enumerator and every candidate it delivers point into
+     * `prog`, so a temporary Program (Enumerator(parseLitmusFile(f)))
+     * would dangle: name the program instead.
+     */
+    Enumerator(Program &&prog,
+               const RunBudget &budget = RunBudget::unlimited(),
+               EngineMode mode = EngineMode::RfFirst,
+               rel::SaturationSupport support = {}) = delete;
+
+    /**
      * Visit every consistent candidate execution.
      *
      * A budgeted enumeration that trips a bound stops early and

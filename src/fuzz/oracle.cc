@@ -4,7 +4,6 @@
 #include <memory>
 #include <sstream>
 
-#include "base/faultinject.hh"
 #include "base/status.hh"
 #include "cat/eval.hh"
 #include "model/lkmm_model.hh"
@@ -204,19 +203,14 @@ makeOracle(const std::string &name, const std::string &catModelDir)
 
 /**
  * The child/side computation, shared by the isolated and in-process
- * paths.  The faultinject crash points fire here, keyed by the
- * candidate's name, so tests can make one specific side crash.
+ * paths.  A crash or hang plan on the enumerate site, filtered to
+ * the candidate's name, fires inside side.eval, so tests can make
+ * one specific side crash.
  */
 std::string
 evalSidePayload(const OracleSide &side, const Program &prog,
                 const OracleOptions &opts)
 {
-    faultinject::maybeFail(faultinject::Point::CrashSegv,
-                           prog.name.c_str());
-    faultinject::maybeFail(faultinject::Point::CrashAbort,
-                           prog.name.c_str());
-    faultinject::maybeFail(faultinject::Point::Hang,
-                           prog.name.c_str());
     try {
         const Verdict v = side.eval(prog, opts.engine, opts.seed);
         return std::string("ok ") + verdictName(v);

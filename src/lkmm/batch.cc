@@ -1,6 +1,7 @@
 #include "lkmm/batch.hh"
 
 #include <algorithm>
+#include <atomic>
 #include <cerrno>
 #include <functional>
 #include <mutex>
@@ -171,14 +172,6 @@ BatchRunner::runItem(Item &item, const Model &model,
 {
     ItemOutcome outcome;
 
-    // Crash-injection points for the isolation layer's tests: these
-    // take the *process* down, so only a forked child survives them.
-    faultinject::maybeFail(faultinject::Point::CrashSegv,
-                           item.name.c_str());
-    faultinject::maybeFail(faultinject::Point::CrashAbort,
-                           item.name.c_str());
-    faultinject::maybeFail(faultinject::Point::Hang, item.name.c_str());
-
     // Parse stage (failure-isolated; transient faults retried).
     if (!item.prog) {
         int parseRetries = 0;
@@ -280,29 +273,6 @@ BatchRunner::record(const std::string &name, ItemOutcome outcome,
 }
 
 void
-BatchRunner::runInProcess(std::vector<Item *> &pending,
-                          std::map<std::string, ItemOutcome> &outcomes,
-                          journal::Writer *writer, BatchReport &report,
-                          BudgetTracker *sweepTracker)
-{
-    for (Item *item : pending) {
-        if (cancelled()) {
-            report.cancelled = true;
-            return;
-        }
-        if (sweepTracker && !sweepTracker->checkNow())
-            return; // run() reports the tripped bound
-        std::optional<ItemOutcome> outcome =
-            runItem(*item, model_, opts_.crossCheck, sweepTracker);
-        if (!outcome) {
-            report.cancelled = cancelled();
-            return;
-        }
-        record(item->name, std::move(*outcome), outcomes, writer);
-    }
-}
-
-void
 BatchRunner::runParallel(std::vector<Item *> &pending,
                          std::map<std::string, ItemOutcome> &outcomes,
                          journal::Writer *writer, BatchReport &report,
@@ -336,10 +306,16 @@ BatchRunner::runParallel(std::vector<Item *> &pending,
     // queue-order assembly, so the report is verdict-identical to a
     // sequential sweep.
     std::mutex recordMu;
+    // Set once record() throws (journal write failure): no further
+    // test starts, and parallelIndexed rethrows the failure.
+    std::atomic<bool> recordFailed{false};
 
     ThreadPool pool(jobs);
     parallelIndexed(pool, pending.size(), [&](std::size_t i) {
-        if (cancelled() || (sweepTracker && sweepTracker->exhausted()))
+        // checkNow(), not exhausted(): a sweep deadline must stop
+        // dispatch even when no worker is charging the tracker.
+        if (recordFailed.load(std::memory_order_relaxed) || cancelled() ||
+            (sweepTracker && !sweepTracker->checkNow()))
             return false;
 
         std::size_t slot;
@@ -362,7 +338,15 @@ BatchRunner::runParallel(std::vector<Item *> &pending,
             return false;
 
         std::lock_guard<std::mutex> lock(recordMu);
-        record(pending[i]->name, std::move(*outcome), outcomes, writer);
+        if (recordFailed.load(std::memory_order_relaxed))
+            return false;
+        try {
+            record(pending[i]->name, std::move(*outcome), outcomes,
+                   writer);
+        } catch (...) {
+            recordFailed.store(true, std::memory_order_relaxed);
+            throw;
+        }
         return true;
     });
     report.cancelled = cancelled();
@@ -637,9 +621,6 @@ BatchRunner::run()
         break;
       case IsolationMode::InProcessParallel:
         runParallel(pending, outcomes, w, report, tracker);
-        break;
-      case IsolationMode::InProcess:
-        runInProcess(pending, outcomes, w, report, tracker);
         break;
     }
     if (tracker)

@@ -28,12 +28,13 @@
  *    flight; a SIGSEGV or OOM kill in one test becomes a
  *    TestFailure{phase:"crash"} record, a deadline overrun a
  *    TestFailure{phase:"timeout"}, and the sweep continues;
- *  - in-process parallelism (IsolationMode::InProcessParallel): up
- *    to `workers` tests checked concurrently on a shared thread
- *    pool (base/scheduler.hh), each on its own Model instance
- *    (BatchOptions::modelFactory) with its own Enumerator; journal
- *    writes are serialized through the single writer, and the
- *    report is verdict-identical to the sequential sweep;
+ *  - in-process execution (IsolationMode::InProcessParallel, the
+ *    default): up to `workers` tests checked concurrently on a
+ *    shared thread pool (base/scheduler.hh), each on its own Model
+ *    instance (BatchOptions::modelFactory) with its own Enumerator;
+ *    journal writes are serialized through the single writer, the
+ *    report is verdict-identical whatever the worker count, and
+ *    workers = 1 is the sequential sweep;
  *  - sweep-wide budgets (BatchOptions::sweepBudget): one shared
  *    BudgetTracker charged by every worker; the first bound tripped
  *    wins and stops the whole sweep, with the unfinished tests left
@@ -167,15 +168,14 @@ struct BatchReport
 /** Where a queued test executes. */
 enum class IsolationMode
 {
-    /** In the calling process: fastest, no crash protection. */
-    InProcess,
     /** One forked, rlimited, watchdog-supervised child per test. */
     Forked,
     /**
      * In the calling process, `workers` tests at a time on a thread
-     * pool: the throughput mode for trusted corpora.  No crash
-     * protection — one segfaulting test takes the sweep down, use
-     * Forked for hostile input.
+     * pool; workers = 1 is the sequential sweep.  The throughput
+     * mode for trusted corpora.  No crash protection — one
+     * segfaulting test takes the sweep down, use Forked for hostile
+     * input.
      */
     InProcessParallel,
 };
@@ -218,7 +218,7 @@ struct BatchOptions
     ModelFactory crossCheckFactory;
 
     /** Execution mode; Forked adds crash isolation. */
-    IsolationMode isolation = IsolationMode::InProcess;
+    IsolationMode isolation = IsolationMode::InProcessParallel;
     /** Concurrent children (Forked) or threads (InProcessParallel). */
     int workers = 1;
 
@@ -291,7 +291,9 @@ class BatchRunner
      * test ends up in exactly one of results or failures.  With a
      * cancel token in the budget, cancellation stops dispatching,
      * leaves the in-flight test unrecorded (it reruns on resume),
-     * and returns the partial report with cancelled=true.
+     * and returns the partial report with cancelled=true.  A journal
+     * write failure is not per-test: no further test starts and the
+     * error is rethrown, leaving a journal a resume can finish.
      */
     BatchReport run();
 
@@ -335,10 +337,6 @@ class BatchRunner
                        std::map<std::string, ItemOutcome> &outcomes,
                        journal::Writer *writer);
 
-    void runInProcess(std::vector<Item *> &pending,
-                      std::map<std::string, ItemOutcome> &outcomes,
-                      journal::Writer *writer, BatchReport &report,
-                      BudgetTracker *sweepTracker);
     void runParallel(std::vector<Item *> &pending,
                      std::map<std::string, ItemOutcome> &outcomes,
                      journal::Writer *writer, BatchReport &report,

@@ -71,18 +71,6 @@ runWorkerFrame(const std::string &frame,
     json::Object resp;
     try {
         const json::Value req = json::Value::parse(frame);
-        const std::string name = req.getString("name");
-        // The crash-injection hooks the ctest suite drives: same
-        // contract as the batch runner — context is the test name,
-        // so an armed point plus a filter crashes exactly the
-        // targeted request.  The armed flags were inherited over
-        // fork; firing one here kills this worker, not the daemon.
-        faultinject::maybeFail(faultinject::Point::CrashSegv,
-                               name.c_str());
-        faultinject::maybeFail(faultinject::Point::CrashAbort,
-                               name.c_str());
-        faultinject::maybeFail(faultinject::Point::Hang, name.c_str());
-
         const Program prog = parseLitmus(req.getString("litmus"));
         const std::string spec = req.getString("model");
         std::unique_ptr<Model> &model = models[spec];
@@ -327,7 +315,6 @@ WorkerPool::execute(const WorkerRequest &req)
 
     json::Object o;
     o["op"] = "run";
-    o["name"] = req.name;
     o["litmus"] = req.litmus;
     o["model"] = req.model;
     o["budget_wall_ns"] = static_cast<std::int64_t>(

@@ -149,7 +149,8 @@ struct WorkerOptions
 /** One request crossing the fork boundary. */
 struct WorkerRequest
 {
-    /** Litmus test name: fault-injection context and diagnostics. */
+    /** Litmus test name: the recycle site's fault-injection
+     *  context (the worker reads the name from the litmus source). */
     std::string name;
     /** Raw litmus source (re-parsed in the worker). */
     std::string litmus;

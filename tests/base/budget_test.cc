@@ -1,8 +1,7 @@
 /**
  * @file
  * Unit tests for the robustness base layer: RunBudget/BudgetTracker
- * (base/budget.hh), the status taxonomy (base/status.hh) and the
- * fault-injection hooks (base/faultinject.hh).
+ * (base/budget.hh) and the status taxonomy (base/status.hh).
  */
 
 #include <gtest/gtest.h>
@@ -15,7 +14,6 @@
 #include <vector>
 
 #include "base/budget.hh"
-#include "base/faultinject.hh"
 #include "base/logging.hh"
 #include "base/status.hh"
 
@@ -362,72 +360,6 @@ TEST(Status, StatusErrorIsAFatalError)
         throw StatusError(Status(StatusCode::EvalError, "x")),
         FatalError);
     EXPECT_THROW(throw ParseError("p", 1, 1, "t"), StatusError);
-}
-
-// Fault injection ----------------------------------------------------
-
-class FaultInjectTest : public ::testing::Test
-{
-  protected:
-    void SetUp() override { faultinject::reset(); }
-    void TearDown() override { faultinject::reset(); }
-};
-
-TEST_F(FaultInjectTest, ArmFireDisarm)
-{
-    using faultinject::Point;
-    EXPECT_FALSE(faultinject::armed(Point::CatEval));
-    faultinject::arm(Point::CatEval);
-    EXPECT_TRUE(faultinject::armed(Point::CatEval));
-    // Other points stay disarmed.
-    EXPECT_FALSE(faultinject::armed(Point::LitmusParse));
-    faultinject::maybeFail(Point::LitmusParse, "noop");
-
-    try {
-        faultinject::maybeFail(Point::CatEval, "test-site");
-        FAIL() << "armed point did not fire";
-    } catch (const StatusError &e) {
-        EXPECT_EQ(e.status().code(), StatusCode::Internal);
-        EXPECT_NE(e.status().message().find("test-site"),
-                  std::string::npos);
-    }
-    // One-shot: the point disarmed itself.
-    EXPECT_FALSE(faultinject::armed(Point::CatEval));
-    faultinject::maybeFail(Point::CatEval, "test-site");
-}
-
-TEST_F(FaultInjectTest, ArmFromSpec)
-{
-    faultinject::armFromSpec(" litmus-parse , enumerate ");
-    EXPECT_TRUE(faultinject::armed(faultinject::Point::LitmusParse));
-    EXPECT_TRUE(faultinject::armed(faultinject::Point::Enumerate));
-    EXPECT_FALSE(faultinject::armed(faultinject::Point::CatParse));
-
-    faultinject::reset();
-    EXPECT_FALSE(faultinject::armed(faultinject::Point::LitmusParse));
-    EXPECT_FALSE(faultinject::armed(faultinject::Point::Enumerate));
-}
-
-TEST_F(FaultInjectTest, UnknownSpecNameThrows)
-{
-    try {
-        faultinject::armFromSpec("litmus-parse,flux-capacitor");
-        FAIL() << "unknown point accepted";
-    } catch (const StatusError &e) {
-        EXPECT_EQ(e.status().code(), StatusCode::InvalidArgument);
-    }
-}
-
-TEST_F(FaultInjectTest, PointNamesRoundTrip)
-{
-    using faultinject::Point;
-    const Point points[] = {Point::LitmusParse, Point::CatParse,
-                            Point::CatEval, Point::Enumerate};
-    for (Point p : points) {
-        faultinject::armFromSpec(faultinject::pointName(p));
-        EXPECT_TRUE(faultinject::armed(p)) << faultinject::pointName(p);
-        faultinject::reset();
-    }
 }
 
 } // namespace

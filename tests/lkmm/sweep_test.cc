@@ -1,7 +1,7 @@
 /**
  * @file
  * The crash-isolated, resumable sweep engine: forked-mode crash and
- * deadline isolation (injected SIGSEGV/abort/hang), journal record
+ * deadline isolation (injected crash/hang plans), journal record
  * round trips, resume-after-kill equivalence with an uninterrupted
  * run, torn-tail recovery, and duplicate-name hardening.
  */
@@ -158,14 +158,15 @@ TEST_F(SweepTest, ForkedMatchesInProcessVerdicts)
 
 /**
  * The headline isolation property: one test of a 10-test forked
- * sweep segfaults; the other 9 complete with correct verdicts and
- * the crash becomes a structured record.
+ * sweep crashes; the other 9 complete with correct verdicts and
+ * the crash becomes a structured record.  Every child inherits the
+ * crash plan, but only the victim's child enumerates the victim.
  */
 TEST_F(SweepTest, ForkedSweepSurvivesInjectedSegv)
 {
     const std::vector<Program> tests = corpus();
     const std::string victim = tests[4].name;
-    faultinject::arm(faultinject::Point::CrashSegv);
+    faultinject::setPlan(faultinject::FaultPlan::parse("enumerate:1:crash"));
     faultinject::setFilter(victim);
 
     BatchOptions opts;
@@ -197,10 +198,15 @@ TEST_F(SweepTest, ForkedSweepSurvivesInjectedSegv)
     }
 }
 
+/**
+ * The same crash on the single-worker forked path.  Every injected
+ * crash is a SIGKILL, whatever the test name says; the decode to
+ * phase "crash" is the same for any fatal signal.
+ */
 TEST_F(SweepTest, ForkedSweepSurvivesInjectedAbort)
 {
     std::vector<Program> tests = {sb(), mp(), lb()};
-    faultinject::arm(faultinject::Point::CrashAbort);
+    faultinject::setPlan(faultinject::FaultPlan::parse("enumerate:1:crash"));
     faultinject::setFilter("MP");
 
     BatchOptions opts;
@@ -220,7 +226,7 @@ TEST_F(SweepTest, ForkedDeadlineOverrunBecomesTimeoutRecord)
 {
     std::vector<Program> tests = {sb(), mp(), lb(), sbMbs(), wrc()};
     const std::string victim = "LB";
-    faultinject::arm(faultinject::Point::Hang);
+    faultinject::setPlan(faultinject::FaultPlan::parse("enumerate:1:hang"));
     faultinject::setFilter(victim);
 
     BatchOptions opts;

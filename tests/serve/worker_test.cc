@@ -1,7 +1,7 @@
 /**
  * @file
  * Crash-only serving tests (serve/worker + serve/server worker tier):
- * a worker segv/hang mid-request costs exactly one sound
+ * a worker crash/hang mid-request costs exactly one sound
  * Unknown{worker-crash|worker-timeout} response while concurrent
  * clients get byte-identical answers; a repeat-offender fingerprint
  * is quarantined and refused fast with its recorded reason; kill -9
@@ -9,12 +9,14 @@
  * and a permanently-crashing input cannot turn the supervisor into a
  * fork bomb (respawn rate is capped by exponential backoff).
  *
- * The crash hooks are the legacy fault-injection points
- * (Point::CrashSegv/Hang) with the context filter pinned to the
- * poison test's name: armed state is inherited over fork, so every
- * worker — initial or respawned — crashes on exactly the poisoned
- * request and nothing else.  Arming therefore happens BEFORE the
- * Server is constructed (the initial workers fork in its ctor).
+ * The crash hooks are crash/hang fault plans on the enumerate site
+ * (enumerate:1:crash, delivered as SIGKILL, and enumerate:1:hang)
+ * with the context filter pinned to the poison test's name.  Plans
+ * are inherited over fork and the daemon never enumerates, so its
+ * copy never advances: every worker — initial or respawned —
+ * crashes on exactly the poisoned request and nothing else.  Arming
+ * therefore happens BEFORE the Server is constructed (the initial
+ * workers fork in its ctor).
  *
  * Respawning forks from an already-threaded daemon, which TSan
  * forbids (fork-from-multithreaded deadlocks under its runtime), so
@@ -149,7 +151,7 @@ TEST(WorkerIsolation, SegvMidRequestIsolatedToOneClient)
 {
     FaultGuard guard;
     faultinject::setFilter("POISON");
-    faultinject::arm(faultinject::Point::CrashSegv);
+    faultinject::setPlan(faultinject::FaultPlan::parse("enumerate:1:crash"));
 
     ServeOptions opts;
     opts.socketPath = socketPath("segv");
@@ -227,7 +229,7 @@ TEST(WorkerIsolation, HangMidRequestBecomesWorkerTimeout)
 {
     FaultGuard guard;
     faultinject::setFilter("POISON");
-    faultinject::arm(faultinject::Point::Hang);
+    faultinject::setPlan(faultinject::FaultPlan::parse("enumerate:1:hang"));
 
     ServeOptions opts;
     opts.socketPath = socketPath("hang");
@@ -257,7 +259,7 @@ TEST(WorkerQuarantine, RepeatOffenderRefusedFastWithReason)
 {
     FaultGuard guard;
     faultinject::setFilter("POISON");
-    faultinject::arm(faultinject::Point::CrashSegv);
+    faultinject::setPlan(faultinject::FaultPlan::parse("enumerate:1:crash"));
 
     ServeOptions opts;
     opts.socketPath = socketPath("quarantine");
@@ -300,7 +302,7 @@ TEST(WorkerBackoff, CrashLoopRespawnRateIsCapped)
 {
     FaultGuard guard;
     faultinject::setFilter("POISON");
-    faultinject::arm(faultinject::Point::CrashSegv);
+    faultinject::setPlan(faultinject::FaultPlan::parse("enumerate:1:crash"));
 
     ServeOptions opts;
     opts.socketPath = socketPath("backoff");
@@ -481,7 +483,6 @@ runFrame(const char *engine)
 {
     json::Object o;
     o["op"] = "run";
-    o["name"] = "CORR";
     o["litmus"] = kCoRR;
     o["model"] = "lkmm";
     for (const char *key : {"budget_wall_ns", "budget_candidates",

@@ -99,13 +99,13 @@ usage()
         "  --list-models       print the model registry and exit\n"
         "\n"
         "robustness/parallelism:\n"
-        "  --isolation MODE    in-process (default), forked, or\n"
-        "                      inproc-parallel (checks --jobs tests\n"
-        "                      concurrently on a thread pool; report\n"
-        "                      is verdict-identical to in-process)\n"
-        "  --jobs N            concurrent children (forked) or\n"
-        "                      worker threads (inproc-parallel);\n"
-        "                      0 = all hardware threads\n"
+        "  --isolation MODE    in-process (default: --jobs threads\n"
+        "                      of one process; the report is\n"
+        "                      verdict-identical for any --jobs) or\n"
+        "                      forked (one sandboxed child per test)\n"
+        "  --jobs N            worker threads (in-process) or\n"
+        "                      concurrent children (forked);\n"
+        "                      default 1, 0 = all hardware threads\n"
         "  --task-deadline-ms N  per-child watchdog deadline\n"
         "  --task-cpu-s N      per-child RLIMIT_CPU seconds\n"
         "  --task-mem-mb N     per-child RLIMIT_AS megabytes\n"
@@ -219,10 +219,7 @@ main(int argc, char **argv)
                 const std::string mode = next();
                 if (mode == "forked")
                     opts.isolation = IsolationMode::Forked;
-                else if (mode == "in-process" || mode == "inprocess")
-                    opts.isolation = IsolationMode::InProcess;
-                else if (mode == "inproc-parallel" ||
-                         mode == "in-process-parallel")
+                else if (mode == "in-process")
                     opts.isolation = IsolationMode::InProcessParallel;
                 else
                     return usage();
@@ -326,12 +323,9 @@ main(int argc, char **argv)
             return 1;
         }
         if (!quiet) {
-            const char *mode =
-                opts.isolation == IsolationMode::Forked
-                    ? "forked"
-                    : opts.isolation == IsolationMode::InProcessParallel
-                          ? "inproc-parallel"
-                          : "in-process";
+            const char *mode = opts.isolation == IsolationMode::Forked
+                                   ? "forked"
+                                   : "in-process";
             std::fprintf(stderr,
                          "lkmm-sweep: %zu tests, model %s, %s mode "
                          "(%d jobs), seed %llu%s\n",
