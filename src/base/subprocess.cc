@@ -86,6 +86,22 @@ Outcome::describe() const
     return "?";
 }
 
+Outcome
+decodeWaitStatus(int status, bool timedOut)
+{
+    Outcome outcome;
+    if (timedOut) {
+        outcome.kind = ExitKind::TimedOut;
+    } else if (WIFSIGNALED(status)) {
+        outcome.kind = ExitKind::Signaled;
+        outcome.signal = WTERMSIG(status);
+    } else {
+        outcome.kind = ExitKind::Exited;
+        outcome.exitCode = WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+    }
+    return outcome;
+}
+
 Child
 Child::spawn(const std::function<std::string()> &work, const Limits &limits)
 {
@@ -258,9 +274,6 @@ Child::finish()
         onReadable();
 
     Outcome outcome;
-    outcome.output = std::move(output_);
-    output_.clear();
-
     if (pid_ > 0 && !finished_) {
         int status = 0;
         if (retryEintr(site::kSubprocessWaitpid, ECHILD, [&] {
@@ -269,16 +282,10 @@ Child::finish()
             sysError("waitpid failed");
         }
         finished_ = true;
-        if (timedOut_) {
-            outcome.kind = ExitKind::TimedOut;
-        } else if (WIFSIGNALED(status)) {
-            outcome.kind = ExitKind::Signaled;
-            outcome.signal = WTERMSIG(status);
-        } else {
-            outcome.kind = ExitKind::Exited;
-            outcome.exitCode = WIFEXITED(status) ? WEXITSTATUS(status) : -1;
-        }
+        outcome = decodeWaitStatus(status, timedOut_);
     }
+    outcome.output = std::move(output_);
+    output_.clear();
     return outcome;
 }
 

@@ -99,6 +99,13 @@ struct Outcome
 };
 
 /**
+ * Decode a waitpid(2) status: TimedOut when the parent watchdog
+ * killed the child (whatever the status says), else Signaled or
+ * Exited (exitCode -1 for a status that is neither).
+ */
+Outcome decodeWaitStatus(int status, bool timedOut);
+
+/**
  * One live sandboxed child.  Move-only; the destructor reaps an
  * unfinished child (SIGKILL + waitpid) so leaking a Child cannot
  * leak a process.

@@ -308,8 +308,8 @@ runServeWorkload(const ChaosOptions &opts, const std::string &journalPath,
     // kind (crash/hang at serve-worker-result) re-fires in every
     // fresh worker — the quarantine is what bounds that to a fast
     // retryable=false refusal.
-    so.workerRecycleRequests = 1;
-    so.workerDeadline = std::chrono::milliseconds(3000);
+    so.worker.recycleRequests = 1;
+    so.worker.defaultDeadline = std::chrono::milliseconds(3000);
 
     auto stage = [&](std::size_t count, json::Array *out) {
         serve::Server server(so);

@@ -11,11 +11,14 @@
  * reimplementing:
  *
  *  - a canonical JSON form (toJson/fromJson/canonicalKey).  The
- *    serve verdict cache keys on it, the serve worker wire protocol
- *    carries it, and because json::Object is a sorted map the
- *    serialization is deterministic: equal configs, equal keys.
- *    Only the value knobs are serialized; the process-local budget
- *    plumbing (cancel token, shared sweep tracker) never travels.
+ *    serve verdict cache keys on it, and because json::Object is a
+ *    sorted map the serialization is deterministic: equal configs,
+ *    equal keys.  Only the value knobs are serialized; the
+ *    process-local budget plumbing (cancel token, shared sweep
+ *    tracker) never travels.  The serve worker frame does not carry
+ *    this form: it sends the mode by name and the wall-clock budget
+ *    in ns, because the ms canonical form would round a sub-ms
+ *    remaining deadline to 0, which means "unlimited".
  *
  *  - one flag vocabulary (parseFlag/flagHelp).  All four CLIs
  *    accept the same --engine-family flags:

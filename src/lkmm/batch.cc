@@ -98,6 +98,9 @@ void
 BatchRunner::add(std::string name, Program prog)
 {
     checkDuplicate(name);
+    // Every fault site then sees the item name as its context,
+    // whatever the program calls itself.
+    prog.name = name;
     Item item;
     item.name = std::move(name);
     item.prog = std::move(prog);
@@ -180,6 +183,7 @@ BatchRunner::runItem(Item &item, const Model &model,
                 faultinject::checkSite(faultinject::site::kBatchParse,
                                        item.name.c_str());
                 item.prog = parseLitmus(item.source);
+                item.prog->name = item.name; // as in add()
             });
         if (failed) {
             outcome.failures.push_back(

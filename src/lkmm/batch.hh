@@ -272,7 +272,8 @@ class BatchRunner
      * Queue an already-built program.  Throws
      * StatusError(InvalidArgument) on a duplicate test name:
      * journal resume is keyed by name, so duplicates would silently
-     * corrupt recovery.
+     * corrupt recovery.  The program is renamed to name, so a
+     * fault-injection filter on name matches at every site.
      */
     void add(std::string name, Program prog);
 
@@ -280,7 +281,8 @@ class BatchRunner
      * Queue litmus source text.  Parsing happens inside run() with
      * failure isolation: a malformed test becomes a TestFailure in
      * the report, never an exception out of the sweep.  Duplicate
-     * names are rejected as for add().
+     * names are rejected as for add(), and the parsed program is
+     * renamed to name as for add().
      */
     void addLitmusSource(std::string name, std::string source);
 

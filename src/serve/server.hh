@@ -6,15 +6,15 @@
  *
  * Requests are length-prefixed JSON frames (serve/protocol.hh); the
  * default operation submits a litmus source plus a model spec and
- * gets back the verdict the PR-4 in-process parallel engine
- * computes, or a cache hit byte-identical to it.
+ * gets back the verdict an isolated worker process computes, or a
+ * cache hit byte-identical to it.
  *
  * The robustness contract, in priority order:
  *
  *  1. Soundness above all.  The daemon never invents a verdict:
  *     every Allow/Forbid it returns came from a complete run (or a
  *     journal replay of one), and every degradation — queue full,
- *     deadline passed, shared budget exhausted, truncated run —
+ *     deadline passed, worker crash, truncated run —
  *     reports Verdict::Unknown with the reason, exactly as the
  *     budget machinery does everywhere else in the tree.
  *  2. One client cannot hurt another.  Admission control bounds the
@@ -32,12 +32,10 @@
  * Threading: one accept thread, one thread per live connection
  * (parsing, cache lookups, and framing happen there — cache hits
  * never touch the verification queue), and a fixed ThreadPool of
- * dispatch threads.  In the default crash-only configuration each
- * dispatch thread hands the request to a process-isolated worker
- * from serve/worker.hh — a forked engine whose segv/abort/OOM/hang
- * costs exactly one response (a sound Unknown{worker-crash} or
- * {worker-timeout}), never the daemon; ServeIsolation::InProcess
- * keeps the PR-4 in-thread engine for comparison and benchmarks.
+ * dispatch threads.  Each dispatch thread hands its request to a
+ * process-isolated worker from serve/worker.hh — a forked engine
+ * whose segv/abort/OOM/hang costs exactly one response (a sound
+ * Unknown{worker-crash} or {worker-timeout}), never the daemon.
  * Shed, crash, and error responses carry machine-readable
  * `retryable` + `retry_after_ms` fields so bounded-retry clients
  * need not guess.
@@ -48,12 +46,11 @@
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -61,7 +58,6 @@
 #include "base/budget.hh"
 #include "base/retry.hh"
 #include "base/scheduler.hh"
-#include "model/registry.hh"
 #include "serve/cache.hh"
 #include "serve/protocol.hh"
 #include "serve/worker.hh"
@@ -69,22 +65,16 @@
 namespace lkmm::serve
 {
 
-/** Where verification runs. */
-enum class ServeIsolation
-{
-    /** PR-4 engine on the dispatch thread (shared address space). */
-    InProcess,
-    /** Crash-only default: process-isolated worker pool. */
-    Workers,
-};
-
 struct ServeOptions
 {
     /** Unix socket to bind (stale files are replaced). */
     std::string socketPath;
     /** Default model spec for requests that don't name one. */
     std::string model = "lkmm";
-    /** Verification worker threads (0 = hardware concurrency). */
+    /**
+     * Dispatch threads and worker processes, one of each per slot
+     * (0 = hardware concurrency).
+     */
     std::size_t workers = 0;
     /**
      * Admission bound: requests queued-or-running on the worker
@@ -108,27 +98,8 @@ struct ServeOptions
      * constant and is part of every cache key.
      */
     EngineConfig engine;
-    /**
-     * Caps for the server-wide shared tracker (all-zero = none).
-     * Counted across every request served by this process.  Only
-     * enforced on the in-process tier: a tracker cannot span the
-     * fork boundary (worker runs are bounded per-request instead).
-     */
-    RunBudget serverBudget;
-    /** Execution tier (crash-only worker pool by default). */
-    ServeIsolation isolation = ServeIsolation::Workers;
-    /** Worker tier: retire a worker after N requests (0 = never). */
-    std::uint64_t workerRecycleRequests = 0;
-    /** Worker tier: retire a worker past this RSS (0 = never). */
-    std::size_t workerRssLimitMb = 0;
-    /**
-     * Worker tier: watchdog for requests that carry no deadline
-     * (0 = wait indefinitely, like the in-process tier).
-     */
-    std::chrono::milliseconds workerDeadline{0};
-    /** Worker tier: crash-loop respawn backoff. */
-    retry::RetryPolicy workerRespawn =
-        WorkerOptions::defaultRespawnPolicy();
+    /** Worker limits: recycling, watchdog, respawn backoff. */
+    WorkerLimits worker;
     /**
      * Poison-pill quarantine: refuse a request fingerprint (its
      * canonical cache key) after this many worker crashes/timeouts,
@@ -147,11 +118,11 @@ struct ServerStats
     std::uint64_t shedDeadline = 0;
     std::uint64_t errors = 0;
     std::uint64_t disconnects = 0;
-    /** Worker tier: requests whose worker died mid-run. */
+    /** Requests whose worker died mid-run. */
     std::uint64_t workerCrashes = 0;
-    /** Worker tier: requests whose worker hit the watchdog. */
+    /** Requests whose worker hit the watchdog. */
     std::uint64_t workerTimeouts = 0;
-    /** Worker tier: sheds because no worker arrived in time. */
+    /** Sheds because no worker arrived in time. */
     std::uint64_t shedWorkerUnavailable = 0;
     /** Requests refused up front by the poison-pill quarantine. */
     std::uint64_t quarantineRefusals = 0;
@@ -194,11 +165,8 @@ class Server
     const std::string &socketPath() const { return opts_.socketPath; }
     ServerStats stats() const;
     CacheStats cacheStats() const;
-    /** Null in ServeIsolation::InProcess mode. */
-    const WorkerPool *workerPool() const
-    {
-        return workerPool_ ? &*workerPool_ : nullptr;
-    }
+    /** The worker processes every admitted miss runs on. */
+    const WorkerPool &workerPool() const { return workerPool_; }
 
   private:
     struct Connection
@@ -208,27 +176,23 @@ class Server
         std::atomic<bool> done{false};
     };
 
-    /** Per-worker Model instances, one free-list per model spec. */
-    class ModelPool
+    /**
+     * Model specs already accepted by the registry.  factoryFor
+     * parses a cat: spec, so each spec is checked once, not once
+     * per request.
+     */
+    class SpecCache
     {
       public:
-        explicit ModelPool(std::size_t capacityPerSpec)
-            : capacity_(capacityPerSpec)
-        {}
+        /** Validates spec first; throws like validate(). */
+        explicit SpecCache(const std::string &spec) { validate(spec); }
 
-        /** May throw for unknown/invalid specs (registry rules). */
-        std::unique_ptr<Model> acquire(const std::string &spec);
-        void release(const std::string &spec,
-                     std::unique_ptr<Model> model);
-        /** Eagerly validate a spec (ctor-time check). */
-        void prewarm(const std::string &spec);
+        /** Throws for unknown/invalid specs (registry rules). */
+        void validate(const std::string &spec);
 
       private:
         std::mutex mutex_;
-        std::size_t capacity_;
-        std::map<std::string, ModelFactory> factories_;
-        std::map<std::string, std::vector<std::unique_ptr<Model>>>
-            free_;
+        std::set<std::string> valid_;
     };
 
     void acceptLoop();
@@ -239,7 +203,7 @@ class Server
     json::Value handleFrame(const std::string &payload);
     json::Value handleVerify(const json::Value &request);
     /**
-     * Worker-tier execution of one admitted request: dispatch to the
+     * Execution of one admitted request: dispatch to the worker
      * pool, decode the outcome (crash/timeout → sound Unknown, the
      * quarantine ledger updated), cache complete results.
      */
@@ -250,14 +214,18 @@ class Server
         std::chrono::steady_clock::time_point deadlineAt);
     json::Value statsObject() const;
 
+    // Construction runs in declaration order, and that order is the
+    // contract: configuration errors (socket path, default model,
+    // cache journal) throw before any worker forks, and the workers
+    // fork before pool_ starts threads.
     ServeOptions opts_;
-    int listenFd_ = -1;
-    std::optional<VerdictCache> cache_;
+    SpecCache specs_;
+    VerdictCache cache_;
+    retry::Quarantine quarantine_;
+    WorkerPool workerPool_;
+    /** Dispatch threads; reset by stop() to drain them. */
     std::optional<ThreadPool> pool_;
-    std::optional<WorkerPool> workerPool_;
-    std::optional<retry::Quarantine> quarantine_;
-    std::optional<BudgetTracker> serverTracker_;
-    ModelPool models_;
+    int listenFd_ = -1;
 
     std::thread acceptThread_;
     std::atomic<bool> started_{false};

@@ -25,6 +25,13 @@ namespace lkmm::serve
 
 namespace site = faultinject::site;
 
+namespace
+{
+
+/**
+ * The canonical "result" object.  The parent caches it verbatim, so
+ * a cache hit is byte-identical to the cold response.
+ */
 json::Value
 resultValue(const std::string &testName, const std::string &modelSpec,
             const RunResult &r)
@@ -42,9 +49,6 @@ resultValue(const std::string &testName, const std::string &modelSpec,
         r.allowedFinalStates.begin(), r.allowedFinalStates.end()));
     return result;
 }
-
-namespace
-{
 
 StatusCode
 statusCodeFromName(const std::string &name)
@@ -164,18 +168,7 @@ reapWorker(pid_t pid, bool timedOut)
     int status = 0;
     while (::waitpid(pid, &status, 0) < 0 && errno == EINTR) {
     }
-    subprocess::Outcome outcome;
-    if (timedOut) {
-        outcome.kind = subprocess::ExitKind::TimedOut;
-    } else if (WIFSIGNALED(status)) {
-        outcome.kind = subprocess::ExitKind::Signaled;
-        outcome.signal = WTERMSIG(status);
-    } else {
-        outcome.kind = subprocess::ExitKind::Exited;
-        outcome.exitCode =
-            WIFEXITED(status) ? WEXITSTATUS(status) : -1;
-    }
-    return outcome;
+    return subprocess::decodeWaitStatus(status, timedOut);
 }
 
 void

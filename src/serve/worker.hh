@@ -1,15 +1,15 @@
 /**
  * @file
- * The crash-only execution tier of lkmm-serve: a supervised pool of
- * persistent forked worker processes.
+ * Where lkmm-serve runs verification: a supervised pool of persistent
+ * forked worker processes.
  *
- * The daemon's in-process engine shares an address space with every
- * client: one segfault, runaway recursion, or OOM triggered by a
- * hostile litmus source takes down the daemon and every in-flight
- * conversation.  The worker tier moves verification behind a fork
- * boundary — the same containment the PR-2 sandbox gives the batch
- * sweep — while keeping the workers *persistent*, so the fork cost
- * is paid per worker lifetime, not per request.
+ * An engine on the daemon's own threads would share an address space
+ * with every client: one segfault, runaway recursion, or OOM
+ * triggered by a hostile litmus source would take down the daemon
+ * and every in-flight conversation.  The pool keeps verification
+ * behind a fork boundary — the same containment the PR-2 sandbox
+ * gives the batch sweep — while keeping the workers *persistent*, so
+ * the fork cost is paid per worker lifetime, not per request.
  *
  * Mechanics: each worker is a forked copy of the daemon connected by
  * a SOCK_STREAM socketpair speaking the serve wire format
@@ -84,15 +84,6 @@ namespace lkmm::serve
 inline constexpr std::uint32_t kWorkerMaxFrameBytes = 8u << 20;
 
 /**
- * The canonical "result" object both execution tiers produce —
- * shared so a worker-computed response is byte-identical to an
- * in-process one (and to a cache replay of either).
- */
-json::Value resultValue(const std::string &testName,
-                        const std::string &modelSpec,
-                        const RunResult &r);
-
-/**
  * Worker side of one "run" frame: parse, run, encode the reply.
  * Never throws — every failure becomes a structured
  * {"ok":false,...} reply, which the parent turns into an error
@@ -105,28 +96,21 @@ std::string
 runWorkerFrame(const std::string &frame,
                std::map<std::string, std::unique_ptr<Model>> &models);
 
-struct WorkerOptions
+/**
+ * Per-worker limits a daemon operator sets (lkmm-serve's
+ * --worker-* flags); serve::ServeOptions holds exactly these.
+ */
+struct WorkerLimits
 {
-    /** Worker processes to keep alive. */
-    std::size_t count = 1;
     /** Retire a worker after this many requests (0 = never). */
     std::uint64_t recycleRequests = 0;
     /** Retire a worker whose RSS exceeds this (0 = never). */
     std::size_t rssLimitMb = 0;
     /**
      * Watchdog for requests that carry no deadline of their own
-     * (0 = wait indefinitely, matching in-process semantics).
+     * (0 = wait indefinitely).
      */
     std::chrono::milliseconds defaultDeadline{0};
-    /**
-     * Watchdog slack past a request's own deadline: the engine's
-     * wall-clock budget should trip first (a sound Unknown with the
-     * bound named), the SIGKILL is for workers too wedged to honor
-     * it.
-     */
-    std::chrono::milliseconds dispatchGrace{250};
-    /** Graceful-retirement wait before escalating to SIGKILL. */
-    std::chrono::milliseconds shutdownGrace{500};
     /**
      * Crash-loop backoff between respawns (base/retry).  Delays are
      * deterministic given the pool's fixed seed, so backoff-capping
@@ -144,6 +128,21 @@ struct WorkerOptions
         policy.jitter = 0.25;
         return policy;
     }
+};
+
+struct WorkerOptions : WorkerLimits
+{
+    /** Worker processes to keep alive. */
+    std::size_t count = 1;
+    /**
+     * Watchdog slack past a request's own deadline: the engine's
+     * wall-clock budget should trip first (a sound Unknown with the
+     * bound named), the SIGKILL is for workers too wedged to honor
+     * it.
+     */
+    std::chrono::milliseconds dispatchGrace{250};
+    /** Graceful-retirement wait before escalating to SIGKILL. */
+    std::chrono::milliseconds shutdownGrace{500};
 };
 
 /** One request crossing the fork boundary. */

@@ -247,6 +247,43 @@ TEST_F(SweepTest, ForkedDeadlineOverrunBecomesTimeoutRecord)
 }
 
 /**
+ * lkmm-sweep names a file's test after the file stem.  A fault
+ * filter on that item name reaches the enumerate site too, even when
+ * the litmus header names the test differently (here "MP", which the
+ * catalog's own MP also carries).
+ */
+TEST_F(SweepTest, ForkedFaultFilterMatchesItemName)
+{
+    const std::string source = "C MP\n\n{ x=0; y=0; }\n\n"
+                               "P0(int *x, int *y) {\n"
+                               "  WRITE_ONCE(*x, 1);\n"
+                               "  WRITE_ONCE(*y, 1);\n}\n\n"
+                               "P1(int *x, int *y) {\n"
+                               "  int r0 = READ_ONCE(*y);\n"
+                               "  int r1 = READ_ONCE(*x);\n}\n\n"
+                               "exists (1:r0=1 /\\ 1:r1=0)\n";
+    const std::string stem = "renamed-mp";
+    faultinject::setPlan(faultinject::FaultPlan::parse("enumerate:1:crash"));
+    faultinject::setFilter(stem);
+
+    BatchOptions opts;
+    opts.isolation = IsolationMode::Forked;
+    opts.workers = 2;
+    BatchRunner runner(model, opts);
+    for (const Program &p : corpus())
+        runner.add(p.name, p);
+    runner.addLitmusSource(stem, source);
+    BatchReport report = runner.run();
+
+    ASSERT_EQ(report.failures.size(), 1u);
+    EXPECT_EQ(report.failures[0].test, stem);
+    EXPECT_EQ(report.failures[0].phase, "crash");
+    EXPECT_EQ(report.results.size(), corpus().size());
+    for (const Program &p : corpus())
+        EXPECT_NE(report.find(p.name), nullptr) << p.name;
+}
+
+/**
  * The checkpoint/resume property: a sweep whose driver dies after
  * k tests resumes from the journal and produces a report identical
  * in verdicts to an uninterrupted run — including a failure record

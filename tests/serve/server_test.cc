@@ -137,6 +137,9 @@ TEST(Server, ColdThenWarmHitIsByteIdentical)
     EXPECT_EQ(warm.get("result")->serialize(),
               cold.get("result")->serialize());
     EXPECT_EQ(server.stats().cacheHits, 1u);
+    // The warm hit was answered on the connection thread: only the
+    // cold request ever reached a worker process.
+    EXPECT_EQ(server.workerPool().stats().requests, 1u);
     server.stop();
 }
 

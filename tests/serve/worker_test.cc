@@ -21,8 +21,8 @@
  * Respawning forks from an already-threaded daemon, which TSan
  * forbids (fork-from-multithreaded deadlocks under its runtime), so
  * every test that provokes a respawn is compiled out under TSan; the
- * default worker tier itself stays TSan-covered via the existing
- * server suite, whose initial forks are single-threaded.
+ * worker pool itself stays TSan-covered via the existing server
+ * suite, whose initial forks are single-threaded.
  */
 
 #include <gtest/gtest.h>
@@ -211,15 +211,14 @@ TEST(WorkerIsolation, SegvMidRequestIsolatedToOneClient)
     const json::Value after =
         request(opts.socketPath, verifyRequest(kMp, true));
     EXPECT_EQ(after.getString("status"), "ok");
-    ASSERT_NE(server.workerPool(), nullptr);
     // The supervisor heals asynchronously (respawn under backoff);
     // give it a bounded moment before asserting the heal count.
     for (int i = 0;
-         i < 100 && server.workerPool()->stats().restarts < 1; ++i)
+         i < 100 && server.workerPool().stats().restarts < 1; ++i)
         std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    EXPECT_GE(server.workerPool()->stats().restarts, 1u);
+    EXPECT_GE(server.workerPool().stats().restarts, 1u);
 
-    const std::vector<pid_t> pids = server.workerPool()->livePids();
+    const std::vector<pid_t> pids = server.workerPool().livePids();
     EXPECT_FALSE(pids.empty());
     server.stop();
     expectAllDead(pids);
@@ -286,8 +285,7 @@ TEST(WorkerQuarantine, RepeatOffenderRefusedFastWithReason)
               std::string::npos)
         << "refusal must carry the recorded failure signature: "
         << second.serialize();
-    ASSERT_NE(server.workerPool(), nullptr);
-    EXPECT_EQ(server.workerPool()->stats().crashes, 1u)
+    EXPECT_EQ(server.workerPool().stats().crashes, 1u)
         << "the quarantined retry must not reach a worker";
     EXPECT_EQ(server.stats().quarantineRefusals, 1u);
 
@@ -308,10 +306,10 @@ TEST(WorkerBackoff, CrashLoopRespawnRateIsCapped)
     opts.socketPath = socketPath("backoff");
     opts.workers = 1;
     opts.quarantineCrashes = 0; // isolate the backoff behaviour
-    opts.workerRespawn.baseDelay = std::chrono::microseconds(50000);
-    opts.workerRespawn.maxDelay = std::chrono::microseconds(2000000);
-    opts.workerRespawn.multiplier = 2.0;
-    opts.workerRespawn.jitter = 0.0; // deterministic delays
+    opts.worker.respawn.baseDelay = std::chrono::microseconds(50000);
+    opts.worker.respawn.maxDelay = std::chrono::microseconds(2000000);
+    opts.worker.respawn.multiplier = 2.0;
+    opts.worker.respawn.jitter = 0.0; // deterministic delays
     Server server(opts);
     server.start();
 
@@ -329,8 +327,7 @@ TEST(WorkerBackoff, CrashLoopRespawnRateIsCapped)
         std::chrono::duration_cast<std::chrono::microseconds>(
             std::chrono::steady_clock::now() - begin);
 
-    ASSERT_NE(server.workerPool(), nullptr);
-    const WorkerPoolStats stats = server.workerPool()->stats();
+    const WorkerPoolStats stats = server.workerPool().stats();
     EXPECT_EQ(stats.crashes, 3u);
     EXPECT_GE(stats.restarts, 2u);
     EXPECT_GE(stats.consecutiveCrashes, 3u);
@@ -345,9 +342,9 @@ TEST(WorkerBackoff, CrashLoopRespawnRateIsCapped)
     const json::Value healthy =
         request(opts.socketPath, verifyRequest(kMp, true));
     EXPECT_EQ(healthy.getString("status"), "ok");
-    EXPECT_EQ(server.workerPool()->stats().consecutiveCrashes, 0u);
+    EXPECT_EQ(server.workerPool().stats().consecutiveCrashes, 0u);
 
-    const std::vector<pid_t> pids = server.workerPool()->livePids();
+    const std::vector<pid_t> pids = server.workerPool().livePids();
     server.stop();
     expectAllDead(pids);
 }
@@ -445,22 +442,7 @@ TEST(WorkerHealth, PingReportsWorkerTierState)
     EXPECT_EQ(workers->getInt("crashes"), 0);
     ASSERT_NE(workers->get("per_worker"), nullptr);
     EXPECT_EQ(pong.getInt("quarantine_size"), 0);
-
-    // The in-process tier reports itself honestly too.
     server.stop();
-    ServeOptions inproc;
-    inproc.socketPath = socketPath("health-inproc");
-    inproc.workers = 1;
-    inproc.isolation = ServeIsolation::InProcess;
-    Server legacy(inproc);
-    legacy.start();
-    json::Object pingReq2;
-    pingReq2["op"] = "ping";
-    const json::Value pong2 =
-        request(inproc.socketPath, json::Value(std::move(pingReq2)));
-    EXPECT_EQ(pong2.getString("isolation"), "inproc");
-    EXPECT_EQ(pong2.get("workers"), nullptr);
-    legacy.stop();
 }
 
 /**

@@ -4,11 +4,10 @@
  *
  * Daemon mode binds a unix socket and answers length-prefixed JSON
  * verification requests, backed by a crash-safe journaled verdict
- * cache.  By default requests run on a crash-only pool of isolated
- * worker processes — a worker segfault, abort, OOM, or hang costs
- * exactly one sound Unknown response, never the daemon — with
- * self-healing respawn and a poison-pill quarantine in front;
- * --inproc keeps the PR-4 in-thread engine for comparison:
+ * cache.  Requests run on a crash-only pool of isolated worker
+ * processes — a worker segfault, abort, OOM, or hang costs exactly
+ * one sound Unknown response, never the daemon — with self-healing
+ * respawn and a poison-pill quarantine in front:
  *
  *   lkmm-serve --socket /tmp/lkmm.sock --cache /tmp/lkmm-cache.jsonl
  *
@@ -84,13 +83,8 @@ usage()
         "  --socket PATH          unix socket to bind (required)\n"
         "  --model SPEC           default model (registry name or\n"
         "                         cat:FILE; default lkmm)\n"
-        "  --jobs N               verification workers (0 = all\n"
+        "  --jobs N               isolated worker processes (0 = all\n"
         "                         hardware threads; default 0)\n"
-        "  --workers N            alias for --jobs that also forces\n"
-        "                         the isolated worker-process tier\n"
-        "  --inproc               run verification on the dispatch\n"
-        "                         threads instead of isolated worker\n"
-        "                         processes (shared address space)\n"
         "  --worker-recycle-requests N\n"
         "                         retire each worker process after N\n"
         "                         requests (default 0 = never)\n"
@@ -181,13 +175,9 @@ runDaemon(const Options &opt)
 {
     lkmm::serve::Server server(opt.serve);
     if (!opt.quiet) {
-        std::printf("lkmm-serve: listening on %s (model %s, %s)\n",
+        std::printf("lkmm-serve: listening on %s (model %s)\n",
                     opt.serve.socketPath.c_str(),
-                    opt.serve.model.c_str(),
-                    opt.serve.isolation ==
-                            lkmm::serve::ServeIsolation::Workers
-                        ? "isolated workers"
-                        : "in-process");
+                    opt.serve.model.c_str());
         std::fflush(stdout);
     }
     server.run(&g_cancel);
@@ -495,23 +485,15 @@ main(int argc, char **argv)
         else if (arg == "--jobs")
             opt.serve.workers = std::strtoul(
                 needValue(i, "--jobs"), nullptr, 10);
-        else if (arg == "--workers") {
-            opt.serve.workers = std::strtoul(
-                needValue(i, "--workers"), nullptr, 10);
-            opt.serve.isolation =
-                lkmm::serve::ServeIsolation::Workers;
-        } else if (arg == "--inproc")
-            opt.serve.isolation =
-                lkmm::serve::ServeIsolation::InProcess;
         else if (arg == "--worker-recycle-requests")
-            opt.serve.workerRecycleRequests = std::strtoull(
+            opt.serve.worker.recycleRequests = std::strtoull(
                 needValue(i, "--worker-recycle-requests"), nullptr,
                 10);
         else if (arg == "--worker-rss-limit-mb")
-            opt.serve.workerRssLimitMb = std::strtoul(
+            opt.serve.worker.rssLimitMb = std::strtoul(
                 needValue(i, "--worker-rss-limit-mb"), nullptr, 10);
         else if (arg == "--worker-deadline-ms")
-            opt.serve.workerDeadline = std::chrono::milliseconds(
+            opt.serve.worker.defaultDeadline = std::chrono::milliseconds(
                 std::strtol(needValue(i, "--worker-deadline-ms"),
                             nullptr, 10));
         else if (arg == "--quarantine-crashes")
